@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 a verification/validation failure under --strict;
-2 invalid input; 3 a search budget or instance-size cap was exceeded.
+2 invalid input; 3 a search budget or instance-size cap was exceeded;
+4 an internal error (any other exception, such as ``RecursionError``).
 """
 
 from __future__ import annotations
@@ -348,6 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

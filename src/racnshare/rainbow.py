@@ -6,6 +6,12 @@ path. The minimum, over all bijective labelings whose induced coloring is
 rainbow connected, of the number of distinct edge weights is computed
 exactly by ``racn_exact`` for small graphs.
 
+One iterative search, ``_first_arrivals``, serves every check: a
+lexicographic DFS from one source over an adjacency built once per
+coloring, with used vertices and classes kept as int bitmasks. The path on
+its stack at the first arrival at v is the path a DFS aimed at v would
+return, so n single-source searches replace n(n-1)/2 pair searches.
+
 All searches are deterministic: neighbors are visited in ascending index
 order and ties are broken lexicographically on the vertex sequence, so
 repeated runs yield identical witnesses.
@@ -13,8 +19,7 @@ repeated runs yield identical witnesses.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
@@ -22,10 +27,11 @@ from .errors import (
     InvalidParameterError,
     NotConnectedError,
 )
-from .graphs import Graph
+from .graphs import Graph, degree_stats, diameter
 from .labelings import Labeling, WeightedColoring, distinct_weight_count, edge_weights
 
 DEFAULT_NODE_BUDGET = 1_000_000
+_EXHAUSTED = "path-search node budget exhausted"
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,10 @@ class RainbowConnectivity:
 
 @dataclass(frozen=True)
 class RacnCertificate:
-    """Result of the exact search: minimum color count plus a witness."""
+    """Result of the exact search: minimum color count plus a witness.
+
+    ``examined``: complete labelings tested, over all deepening levels.
+    """
 
     value: int
     witness: Labeling
@@ -82,7 +91,53 @@ class _Budget:
     def spend(self) -> None:
         self.left -= 1
         if self.left < 0:
-            raise BudgetExceededError("path-search node budget exhausted")
+            raise BudgetExceededError(_EXHAUSTED)
+
+
+def _adjacency(g: Graph, w: WeightedColoring) -> list[list[tuple[int, int, int]]]:
+    """``(neighbour, weight, class_bit)`` entries in ascending neighbour order."""
+    bit_of = {wt: 1 << i for i, wt in enumerate(set(w.weights.values()))}
+    return [[(b, wt, bit_of[wt]) for b in nbrs for wt in (w.weight(a, b),)]
+            for a, nbrs in enumerate(g.adjacency)]
+
+
+def _first_arrivals(adj, u: int, targets: int, limit: float, paths=None) -> tuple[int, int]:
+    """Lexicographic DFS over the rainbow paths from ``u``; targets is a bitmask.
+
+    ``paths[v]`` gets the stack at the first arrival at each target v; a DFS
+    aimed at v alone pushes exactly the same nodes up to there. Stops when
+    every target is reached or more than ``limit`` nodes have been pushed.
+    Returns ``(pushes, unreached targets)``.
+    """
+    stack = [iter(adj[u])]
+    taken = [(u, 0, 0)]  # the root, then the entry of each edge on the path
+    seen, used, pushes = 1 << u, 0, 0
+    while stack:
+        for e in stack[-1]:
+            if not (seen >> e[0] & 1 or used & e[2]):
+                break
+        else:
+            stack.pop()
+            b, _, bit = taken.pop()
+            seen ^= 1 << b
+            used ^= bit
+            continue
+        pushes += 1
+        if pushes > limit:
+            break
+        b = e[0]
+        seen |= 1 << b
+        used |= e[2]
+        taken.append(e)
+        if targets >> b & 1:
+            targets ^= 1 << b
+            if paths is not None:  # tuple(list) allocates once; tuple(genexp) reallocs
+                verts = [t[0] for t in taken]
+                paths[b] = RainbowPath(tuple(verts), tuple([t[1] for t in taken[1:]]))
+            if not targets:
+                break
+        stack.append(iter(adj[b]))
+    return pushes, targets
 
 
 def exists_rainbow_path(
@@ -92,41 +147,20 @@ def exists_rainbow_path(
     v: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> RainbowPath | None:
-    """First rainbow u-v path in lexicographic DFS order, or None."""
+    """First rainbow u-v path in lexicographic DFS order, or None.
+
+    Raises ``BudgetExceededError`` when the search pushes more than
+    ``node_budget`` nodes before it finds the path or proves there is none.
+    """
     if u == v:
         raise InvalidParameterError("endpoints must differ")
     for x in (u, v):
         if not 0 <= x < g.n:
             raise InvalidParameterError(f"vertex {x} out of range")
-    budget = _Budget(node_budget)
-    path = [u]
-    seen = {u}
-    used: set[int] = set()
-
-    def dfs(a: int) -> bool:
-        if a == v:
-            return True
-        for b in g.adjacency[a]:
-            if b in seen:
-                continue
-            wt = w.weight(a, b)
-            if wt in used:
-                continue
-            budget.spend()
-            path.append(b)
-            seen.add(b)
-            used.add(wt)
-            if dfs(b):
-                return True
-            path.pop()
-            seen.remove(b)
-            used.remove(wt)
-        return False
-
-    if not dfs(u):
-        return None
-    weights = tuple(w.weight(a, b) for a, b in itertools.pairwise(path))
-    return RainbowPath(tuple(path), weights)
+    paths: dict[int, RainbowPath] = {}
+    if _first_arrivals(_adjacency(g, w), u, 1 << v, node_budget, paths)[0] > node_budget:
+        raise BudgetExceededError(_EXHAUSTED)
+    return paths.get(v)
 
 
 def is_rainbow_connected(
@@ -134,46 +168,27 @@ def is_rainbow_connected(
     w: WeightedColoring,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> RainbowConnectivity:
-    """Check every unordered pair; witness map holds one path per pair."""
+    """Check every unordered pair; witness map holds one path per pair.
+
+    One search from each u reaches every v > u. Each witness, the failing
+    pair (the first in ``itertools.combinations`` order) and each budget
+    raise are those of ``exists_rainbow_path(g, w, u, v, node_budget)``
+    called on the pairs in that order.
+    """
     if not g.is_connected():
         raise NotConnectedError("graph is not connected")
+    adj = _adjacency(g, w)
     witnesses: dict[tuple[int, int], RainbowPath] = {}
-    for u, v in itertools.combinations(range(g.n), 2):
-        p = exists_rainbow_path(g, w, u, v, node_budget=node_budget)
-        if p is None:
-            return RainbowConnectivity(False, witnesses, failing_pair=(u, v))
-        witnesses[(u, v)] = p
+    for u in range(g.n - 1):
+        paths: dict[int, RainbowPath] = {}
+        pushes, _ = _first_arrivals(adj, u, (1 << g.n) - (2 << u), node_budget, paths)
+        for v in range(u + 1, g.n):
+            if v not in paths:
+                if pushes > node_budget:
+                    raise BudgetExceededError(_EXHAUSTED)
+                return RainbowConnectivity(False, witnesses, failing_pair=(u, v))
+            witnesses[(u, v)] = paths[v]
     return RainbowConnectivity(True, witnesses)
-
-
-def _rc_boolean(g: Graph, weight_of: dict[tuple[int, int], int]) -> bool:
-    """Witness-free rainbow-connectivity test on a plain weight map."""
-    adjacency = g.adjacency
-
-    def reachable(s: int, t: int) -> bool:
-        seen = {s}
-        used: set[int] = set()
-
-        def dfs(a: int) -> bool:
-            if a == t:
-                return True
-            for b in adjacency[a]:
-                if b in seen:
-                    continue
-                wt = weight_of[(a, b) if a < b else (b, a)]
-                if wt in used:
-                    continue
-                seen.add(b)
-                used.add(wt)
-                if dfs(b):
-                    return True
-                seen.remove(b)
-                used.remove(wt)
-            return False
-
-        return dfs(s)
-
-    return all(reachable(u, v) for u, v in itertools.combinations(range(g.n), 2))
 
 
 def max_new_color_path(
@@ -297,13 +312,14 @@ def vertex_orbits(g: Graph) -> list[int]:
 def racn_exact(g: Graph, max_n: int = 8) -> RacnCertificate:
     """Exact minimum color count over rainbow-connected bijective labelings.
 
-    Backtracking over label assignments in vertex order with two sound
-    prunes: label 1 is only placed on one representative per vertex orbit
-    of the automorphism group, and a partial assignment is abandoned once
-    the weights already determined use at least as many distinct values as
-    the best complete solution found. ``examined`` counts the complete
-    labelings whose coloring was actually tested; pruning makes it smaller
-    than n! without affecting exactness.
+    Iterative deepening: for t from max(diameter, max degree) upward,
+    backtrack over labels in vertex order, abandoning a partial assignment
+    whose weights take more than t values; the first t with a solution is
+    the value. The start is sound: a rainbow path between a diametral pair
+    needs ``diameter`` classes, and the edges at a vertex carry distinct
+    sums. Label 1 goes only on one representative per automorphism orbit.
+    Labels ascend, so the witness is the lexicographically first
+    rainbow-connected labeling of minimum value.
     """
     if g.n > max_n:
         raise InstanceTooLargeError(
@@ -314,65 +330,49 @@ def racn_exact(g: Graph, max_n: int = 8) -> RacnCertificate:
 
     orbit_rep = vertex_orbits(g)
     n = g.n
-    adjacency = g.adjacency
+    lower = [[u for u in g.adjacency[v] if u < v] for v in range(n)]
     labels = [0] * n
     free = [True] * (n + 1)
-    weight_count: dict[int, int] = {}
+    weight_count = [0] * (2 * n + 1)
     examined = 0
-    best_value: int | None = None
-    best_witness: tuple[int, ...] | None = None
 
-    def assign(v: int, distinct: int) -> None:
-        nonlocal examined, best_value, best_witness
-        if best_value is not None and distinct >= best_value:
-            return
+    def rainbow_connected() -> bool:
+        adj = [[(b, s, 1 << s) for b in nbrs for s in (labels[a] + labels[b],)]
+               for a, nbrs in enumerate(g.adjacency)]
+        return not any(_first_arrivals(adj, u, (1 << n) - (2 << u), float("inf"))[1]
+                       for u in range(n - 1))
+
+    def assign(v: int, distinct: int, bound: int) -> int | None:
+        nonlocal examined
         if v == n:
             examined += 1
-            weight_of = {
-                (a, b) if a < b else (b, a): labels[a] + labels[b] for a, b in g.edges
-            }
-            if _rc_boolean(g, weight_of):
-                best_value = distinct
-                best_witness = tuple(labels)
-            return
+            return distinct if rainbow_connected() else None
         for lab in range(1, n + 1):
-            if not free[lab]:
+            if not free[lab] or (lab == 1 and orbit_rep[v] != v):
                 continue
-            if lab == 1 and orbit_rep[v] != v:
-                continue
-            added: list[int] = []
             d = distinct
-            for u in adjacency[v]:
-                if u < v:
-                    wt = labels[u] + lab
-                    c = weight_count.get(wt, 0)
-                    weight_count[wt] = c + 1
-                    added.append(wt)
-                    if c == 0:
-                        d += 1
-            labels[v] = lab
-            free[lab] = False
-            assign(v + 1, d)
-            free[lab] = True
-            labels[v] = 0
-            for wt in added:
-                c = weight_count[wt] - 1
-                if c:
-                    weight_count[wt] = c
-                else:
-                    del weight_count[wt]
+            for u in lower[v]:
+                wt = labels[u] + lab
+                weight_count[wt] += 1
+                if weight_count[wt] == 1:
+                    d += 1
+            if d <= bound:
+                labels[v] = lab
+                free[lab] = False
+                if (found := assign(v + 1, d, bound)) is not None:
+                    return found
+                free[lab] = True
+            for u in lower[v]:
+                weight_count[labels[u] + lab] -= 1
+        return None
 
-    assign(0, 0)
-    if best_value is None or best_witness is None:
-        # every connected graph admits a rainbow-connected labeling (e.g. one
-        # making all weights distinct), so this is unreachable for valid input
-        raise InvalidParameterError("no rainbow-connected labeling found")
-    return RacnCertificate(
-        value=best_value,
-        witness=Labeling(best_witness),
-        exhaustive=True,
-        examined=examined,
-    )
+    for bound in range(max(diameter(g), degree_stats(g)[1]), len(g.edges) + 1):
+        value = assign(0, 0, bound)
+        if value is not None:
+            return RacnCertificate(value, Labeling(tuple(labels)), True, examined)
+    # every connected graph admits a rainbow-connected labeling (e.g. one
+    # making all weights distinct), so this is unreachable for valid input
+    raise InvalidParameterError("no rainbow-connected labeling found")
 
 
 def racn_upper(g: Graph, labeling: Labeling) -> int | None:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from racnshare import cli
 from racnshare.cli import main
 
 
@@ -258,3 +259,16 @@ class TestDotAndUsage:
         code, _, err = run(capsys, "build", "--family", "shadow", "--p", "1")
         assert code == 2
         assert "error:" in err
+
+    def test_internal_error_exits_4(self, capsys, monkeypatch):
+        # exit 1 is reserved for --strict failures, so a crash must not map to it
+        def crash(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli._COMMANDS, "validate", crash)
+        code, out, err = run(capsys, "validate", "--family", "shadow",
+                             "--p-range", "2..3", "--strict")
+        assert code == 4
+        assert out == ""
+        assert err == ("error: internal error: RecursionError: "
+                       "maximum recursion depth exceeded\n")

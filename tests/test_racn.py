@@ -81,6 +81,39 @@ FROZEN = {
 }
 
 
+# (value, witness) recorded from a best-so-far branch and bound over the same
+# vertex and label order: the lexicographically first rainbow-connected
+# labeling of minimum value, which iterative deepening must return unchanged
+FROZEN_WITNESSES = {
+    ("shadow", 2): (3, (1, 2, 3, 4)),
+    ("shadow", 3): (5, (1, 5, 2, 3, 6, 4)),
+    ("shadow", 4): (5, (1, 4, 3, 2, 7, 6, 5, 8)),
+    ("shadow", 5): (6, (1, 4, 3, 2, 5, 6, 9, 8, 7, 10)),
+    ("splitting", 2): (3, (1, 2, 4, 3)),
+    ("splitting", 3): (4, (1, 2, 3, 4, 5, 6)),
+    ("splitting", 4): (4, (1, 4, 3, 2, 5, 6, 7, 8)),
+    ("splitting", 5): (5, (1, 5, 2, 4, 7, 10, 9, 6, 8, 3)),
+    ("mycielski", 2): (3, (1, 3, 4, 5, 2)),
+    ("mycielski", 3): (4, (1, 6, 2, 3, 7, 5, 4)),
+    ("mycielski", 4): (5, (1, 6, 3, 4, 9, 8, 5, 7, 2)),
+    ("mycielski", 5): (5, (2, 11, 6, 7, 10, 1, 8, 3, 4, 5, 9)),
+    ("path", 2): (1, (1, 2)),
+    ("path", 3): (2, (1, 2, 3)),
+    ("path", 4): (3, (1, 2, 3, 4)),
+    ("path", 5): (4, (1, 2, 3, 4, 5)),
+    ("path", 6): (5, (1, 2, 3, 4, 5, 6)),
+    ("path", 7): (6, (1, 2, 3, 4, 5, 6, 7)),
+    ("path", 8): (7, (1, 2, 3, 4, 5, 6, 7, 8)),
+}
+
+
+@pytest.mark.parametrize("family,p", sorted(FROZEN_WITNESSES))
+def test_frozen_witnesses(family, p):
+    cert = racn_exact(build_graph(family, p), max_n=11)
+    assert (cert.value, cert.witness.values) == FROZEN_WITNESSES[(family, p)]
+    assert cert.exhaustive
+
+
 @pytest.mark.parametrize("family,p", sorted(FROZEN))
 def test_frozen_values(family, p):
     g = build_graph(family, p)

@@ -229,3 +229,119 @@ class TestAutomorphisms:
             for v, r in enumerate(reps):
                 assert r <= v
                 assert reps[r] == r
+
+
+def pair_dfs_path(g, w, u, v, node_budget):
+    """The per-pair recursive DFS the single-source search replaced.
+
+    Visits neighbours in ascending order and charges one node per push;
+    raises ``BudgetExceededError`` on push number ``node_budget + 1``.
+    """
+    left = [node_budget]
+    path, seen, used = [u], {u}, set()
+
+    def dfs(a):
+        if a == v:
+            return True
+        for b in g.adjacency[a]:
+            wt = w.weight(a, b)
+            if b in seen or wt in used:
+                continue
+            left[0] -= 1
+            if left[0] < 0:
+                raise BudgetExceededError("oracle budget exhausted")
+            path.append(b)
+            seen.add(b)
+            used.add(wt)
+            if dfs(b):
+                return True
+            path.pop()
+            seen.remove(b)
+            used.remove(wt)
+        return False
+
+    if not dfs(u):
+        return None
+    return RainbowPath(tuple(path), tuple(w.weight(a, b) for a, b in zip(path, path[1:])))
+
+
+def pair_dfs_connectivity(g, w, node_budget=1_000_000):
+    """(witness items in insertion order, failing pair), one DFS per pair."""
+    witnesses = []
+    for u, v in itertools.combinations(range(g.n), 2):
+        p = pair_dfs_path(g, w, u, v, node_budget)
+        if p is None:
+            return witnesses, (u, v)
+        witnesses.append(((u, v), p))
+    return witnesses, None
+
+
+def modular_coloring(family, p, mod):
+    """The family coloring with every weight taken mod ``mod``."""
+    g, _, w = family_coloring(family, p)
+    weights = {e: x % mod for e, x in w.weights.items()}
+    classes = {}
+    for e, x in weights.items():
+        classes.setdefault(x, []).append(e)
+    return g, WeightedColoring(weights, {x: tuple(es) for x, es in classes.items()})
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except BudgetExceededError:
+        return "budget"
+
+
+NOT_CONNECTED = {
+    "repeated weight on P_4": (repeated_weight_path, (0, 3)),
+    "shadow p=3 mod 3": (lambda: modular_coloring("shadow", 3, 3), (2, 5)),
+}
+
+
+class TestSingleSourceMatchesPairDFS:
+    @pytest.mark.parametrize(
+        "family,p",
+        [(f, p) for f in ("shadow", "splitting") for p in range(2, 13)]
+        + [("mycielski", p) for p in range(2, 9)],
+    )
+    def test_family_witnesses(self, family, p):
+        g, _, w = family_coloring(family, p)
+        res = is_rainbow_connected(g, w)
+        expected, failing = pair_dfs_connectivity(g, w)
+        assert list(res.witnesses.items()) == expected
+        assert failing is None and res.failing_pair is None and res.connected
+
+    @pytest.mark.parametrize("name", sorted(NOT_CONNECTED))
+    def test_not_connected_witnesses(self, name):
+        make, pair = NOT_CONNECTED[name]
+        g, w = make()
+        res = is_rainbow_connected(g, w)
+        expected, failing = pair_dfs_connectivity(g, w)
+        assert not res.connected
+        assert res.failing_pair == failing == pair
+        assert list(res.witnesses.items()) == expected
+
+    @pytest.mark.parametrize(
+        "name", ["shadow p=3", "splitting p=3", "mycielski p=3", *sorted(NOT_CONNECTED)]
+    )
+    def test_budget_raises_agree(self, name):
+        if name in NOT_CONNECTED:
+            g, w = NOT_CONNECTED[name][0]()
+        else:
+            family, p = name.split(" p=")
+            g, _, w = family_coloring(family, int(p))
+        raised = set()
+        for budget in range(1, 61):
+            got = outcome(is_rainbow_connected, g, w, node_budget=budget)
+            want = outcome(pair_dfs_connectivity, g, w, node_budget=budget)
+            if want == "budget":
+                raised.add(budget)
+                assert got == "budget", budget
+            else:
+                assert got != "budget", budget
+                assert (list(got.witnesses.items()), got.failing_pair) == want
+            for u, v in itertools.permutations(range(g.n), 2):
+                assert outcome(exists_rainbow_path, g, w, u, v, node_budget=budget) == \
+                    outcome(pair_dfs_path, g, w, u, v, budget), (budget, u, v)
+        assert 1 in raised and 60 not in raised
