@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InstanceTooLargeError, InvalidParameterError
-from .graphs import Graph, build_graph, degree_stats
+from .errors import BudgetExceededError, InvalidParameterError
+from .graphs import _require_p, build_graph, degree_stats
 from .labelings import distinct_weight_count, family_coloring, family_labeling
 from .rainbow import racn_exact
 
@@ -26,8 +26,7 @@ def _check(family: str, p: int) -> None:
         raise InvalidParameterError(
             f"family must be one of {SCHEME_FAMILIES}, got {family!r}"
         )
-    if not isinstance(p, int) or p < 2:
-        raise InvalidParameterError(f"p must be an integer >= 2, got {p!r}")
+    _require_p(p)
 
 
 def k_closed_form(family: str, p: int) -> int:
@@ -209,9 +208,9 @@ def validate_family(
     """Cross-check every closed form against recomputed ground truth.
 
     Each requested p yields a row; computations that would blow the budget
-    are recorded as gaps rather than dropped. Empirical m/rp come from the
-    exhaustive rainbow-path cover search, the exact color minimum from the
-    bounded brute-force solver.
+    are recorded as gaps rather than dropped. Empirical m/rp come from one
+    exhaustive rainbow-path cover search per p, the exact color minimum from
+    the bounded brute-force solver.
     """
     from . import protocol  # deferred: protocol pulls sharing on top of this module
 
@@ -221,9 +220,9 @@ def validate_family(
         g, lab, coloring = family_coloring(family, p)
         gaps: list[str] = []
         try:
-            rp_obs = protocol.empirical_rp(g, coloring, node_budget=cover_budget)
-            m_obs = protocol.empirical_m(g, coloring, node_budget=cover_budget)
-        except InstanceTooLargeError:
+            _, cover, vertices = protocol._min_vertex_cover_choice(g, coloring, cover_budget)
+            rp_obs, m_obs = len(cover), len(vertices)
+        except BudgetExceededError:
             rp_obs = m_obs = None
             gaps.append("m/rp search skipped: budget exceeded")
         racn_value = None

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidLabelingError, InvalidParameterError
-from .graphs import Edge, Graph, build_graph
+from .graphs import Edge, Graph, _require_p, build_graph
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,6 @@ def edge_weights(g: Graph, labeling: Labeling) -> WeightedColoring:
 
 def distinct_weight_count(coloring: WeightedColoring) -> int:
     return len(coloring.classes)
-
-
-def _require_p(p: int) -> None:
-    if not isinstance(p, int) or p < 2:
-        raise InvalidParameterError(f"p must be an integer >= 2, got {p!r}")
 
 
 def shadow_labeling(p: int) -> Labeling:

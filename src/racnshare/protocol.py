@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
-    InstanceTooLargeError,
     InvalidParameterError,
     NotConnectedError,
     RacnShareError,
@@ -27,7 +26,7 @@ from .errors import (
 from .formulas import SCHEME_FAMILIES, scheme_parameters, SchemeParameters
 from .graphs import Graph
 from .labelings import Labeling, WeightedColoring, edge_weights
-from .rainbow import RainbowPath, max_new_color_path
+from .rainbow import RainbowPath, _adjacency, _rainbow_paths, max_new_color_path
 from .sharing import SecretConfig, Share, reconstruct, split
 
 EMPIRICAL_NODE_BUDGET = 10_000_000
@@ -114,42 +113,26 @@ def simulate_reconstruction(
     all_classes = frozenset(coloring.classes)
     k = len(all_classes)
 
+    # the optimal cover is replayed under the greedy rule: most new classes,
+    # then fewer edges, then the lexicographically first vertex sequence
+    pool = None
     if optimal:
-        paths = _optimal_cover(g, coloring, node_budget=node_budget)
-        ordered: list[RainbowPath] = []
-        remaining = list(paths)
-        collected: set[int] = set()
-        while remaining:
-            best = min(
-                remaining,
-                key=lambda rp: (
-                    -len(set(rp.weights) - collected),
-                    rp.edge_count,
-                    rp.vertices,
-                ),
-            )
-            remaining.remove(best)
-            ordered.append(best)
-            collected |= set(best.weights)
-        chosen = ordered
-    else:
-        chosen = []
-        collected = set()
-        max_gain = max(1, k - 1) if clamp else None
-        while collected != all_classes:
+        pool = sorted(_optimal_cover(g, coloring, node_budget), key=lambda p: p.vertices)
+    max_gain = max(1, k - 1) if clamp else None
+    chosen: list[RainbowPath] = []
+    collected: frozenset[int] = frozenset()
+    while collected != all_classes:
+        if pool is not None:
+            path = max(pool, key=lambda p: (len(set(p.weights) - collected), -p.edge_count))
+            pool.remove(path)
+        else:
             try:
-                path = max_new_color_path(
-                    g,
-                    coloring,
-                    frozenset(collected),
-                    node_budget=node_budget,
-                    max_gain=max_gain,
-                )
+                path = max_new_color_path(g, coloring, collected, node_budget, max_gain)
             except BudgetExceededError as err:
                 err.partial_trace = _finish_trace(instance, chosen, partial=True)
                 raise
-            chosen.append(path)
-            collected |= set(path.weights)
+        chosen.append(path)
+        collected |= set(path.weights)
     return _finish_trace(instance, chosen)
 
 
@@ -192,50 +175,17 @@ def _rainbow_path_signatures(
 
     Returns the sorted class values and, per signature pair, the first path
     found in lexicographic DFS order (which is the lex-least with that
-    signature). Raises when the step budget runs out.
+    signature). Raises ``BudgetExceededError`` when the budget runs out.
     """
-    classes = sorted(coloring.classes)
-    class_bit = {c: 1 << i for i, c in enumerate(classes)}
     found: dict[tuple[int, int], tuple[int, ...]] = {}
-    steps = 0
-
-    path: list[int] = []
-    used: set[int] = set()
-
-    def dfs(a: int, cmask: int, vmask: int) -> None:
-        nonlocal steps
-        for b in g.adjacency[a]:
-            if (vmask >> b) & 1:
-                continue
-            wt = coloring.weight(a, b)
-            if wt in used:
-                continue
-            steps += 1
-            if steps > node_budget:
-                raise InstanceTooLargeError(
-                    "rainbow-path cover search exceeded its step budget"
-                )
-            path.append(b)
-            used.add(wt)
-            nm = cmask | class_bit[wt]
-            vm = vmask | (1 << b)
-            found.setdefault((nm, vm), tuple(path))
-            dfs(b, nm, vm)
-            path.pop()
-            used.remove(wt)
-
-    for s in range(g.n):
-        path = [s]
-        used = set()
-        dfs(s, 0, 1 << s)
-    return classes, found
+    for taken, seen, used in _rainbow_paths(_adjacency(g, coloring), range(g.n), node_budget):
+        if (used, seen) not in found:
+            found[used, seen] = tuple([t[0] for t in taken])
+    return sorted(coloring.classes), found
 
 
-def empirical_rp(
-    g: Graph, coloring: WeightedColoring, node_budget: int = EMPIRICAL_NODE_BUDGET
-) -> int:
-    """Minimum number of rainbow paths jointly covering every weight class."""
-    classes, found = _rainbow_path_signatures(g, coloring, node_budget)
+def _min_phases(classes: list[int], found: dict[tuple[int, int], tuple[int, ...]]) -> int:
+    """Fewest signatures whose class masks jointly cover every class."""
     full = (1 << len(classes)) - 1
     cmasks = sorted({c for c, _ in found}, key=lambda m: -m.bit_count())
     reached = {0}
@@ -254,6 +204,13 @@ def empirical_rp(
             raise InvalidParameterError("no rainbow-path cover exists")
         frontier = nxt
     return depth
+
+
+def empirical_rp(
+    g: Graph, coloring: WeightedColoring, node_budget: int = EMPIRICAL_NODE_BUDGET
+) -> int:
+    """Minimum number of rainbow paths jointly covering every weight class."""
+    return _min_phases(*_rainbow_path_signatures(g, coloring, node_budget))
 
 
 def empirical_m(
@@ -282,8 +239,13 @@ def _optimal_cover(
 def _min_vertex_cover_choice(
     g: Graph, coloring: WeightedColoring, node_budget: int
 ) -> tuple[dict[tuple[int, int], tuple[int, ...]], list[tuple[int, int]], set[int]]:
+    """One cover search, for both ``rp`` and ``m``.
+
+    Returns the signature map, a minimum-phase cover with the fewest
+    distinct vertices as (class mask, vertex mask) pairs, and its vertex set.
+    """
     classes, found = _rainbow_path_signatures(g, coloring, node_budget)
-    rp = empirical_rp(g, coloring, node_budget=node_budget)
+    rp = _min_phases(classes, found)
     full = (1 << len(classes)) - 1
 
     by_class_mask: dict[int, list[int]] = {}
@@ -337,15 +299,10 @@ def _min_vertex_cover_choice(
     search(0, [], 0, 0)
     if best_pick is None:
         raise InvalidParameterError("no rainbow-path cover exists")
-    vertices = set()
+    union = 0
     for _, vmask in best_pick:
-        v = 0
-        while vmask:
-            if vmask & 1:
-                vertices.add(v)
-            vmask >>= 1
-            v += 1
-    return found, best_pick, vertices
+        union |= vmask
+    return found, best_pick, {v for v in range(g.n) if union >> v & 1}
 
 
 def enumerate_cycles(

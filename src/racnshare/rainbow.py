@@ -6,11 +6,15 @@ path. The minimum, over all bijective labelings whose induced coloring is
 rainbow connected, of the number of distinct edge weights is computed
 exactly by ``racn_exact`` for small graphs.
 
-One iterative search, ``_first_arrivals``, serves every check: a
-lexicographic DFS from one source over an adjacency built once per
-coloring, with used vertices and classes kept as int bitmasks. The path on
-its stack at the first arrival at v is the path a DFS aimed at v would
-return, so n single-source searches replace n(n-1)/2 pair searches.
+One iterative enumerator, ``_rainbow_paths``, serves all four callers: a
+lexicographic DFS over an adjacency built once per coloring, with used
+vertices and classes kept as int bitmasks, yielding every rainbow path as
+it is pushed. It carries the only node budget. ``exists_rainbow_path``,
+``is_rainbow_connected`` and the leaf test of ``racn_exact`` stop once
+every target is reached: the path on the stack at the first arrival at v
+is the path a DFS aimed at v would return, so n single-source searches
+replace n(n-1)/2 pair searches. ``max_new_color_path`` and the cover
+search in ``protocol`` read every path.
 
 All searches are deterministic: neighbors are visited in ascending index
 order and ties are broken lexicographically on the vertex sequence, so
@@ -82,62 +86,71 @@ class RacnCertificate:
     examined: int
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int) -> None:
-        self.left = limit
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceededError(_EXHAUSTED)
-
-
 def _adjacency(g: Graph, w: WeightedColoring) -> list[list[tuple[int, int, int]]]:
-    """``(neighbour, weight, class_bit)`` entries in ascending neighbour order."""
-    bit_of = {wt: 1 << i for i, wt in enumerate(set(w.weights.values()))}
+    """``(neighbour, weight, class_bit)`` entries in ascending neighbour order.
+
+    Bit i stands for the i-th smallest weight.
+    """
+    bit_of = {wt: 1 << i for i, wt in enumerate(sorted(w.classes))}
     return [[(b, wt, bit_of[wt]) for b in nbrs for wt in (w.weight(a, b),)]
             for a, nbrs in enumerate(g.adjacency)]
 
 
-def _first_arrivals(adj, u: int, targets: int, limit: float, paths=None) -> tuple[int, int]:
-    """Lexicographic DFS over the rainbow paths from ``u``; targets is a bitmask.
+def _rainbow_paths(adj, sources, budget: float = float("inf")):
+    """Every rainbow path from each source, in lexicographic DFS order.
 
-    ``paths[v]`` gets the stack at the first arrival at each target v; a DFS
-    aimed at v alone pushes exactly the same nodes up to there. Stops when
-    every target is reached or more than ``limit`` nodes have been pushed.
-    Returns ``(pushes, unreached targets)``.
+    Yields ``(taken, seen, used)`` at each push: ``taken`` is the live stack
+    (the root ``(source, 0, 0)``, then the adjacency entry of each edge on
+    the path), and ``seen``/``used`` are the vertex and class bitmasks.
+    Pushes are counted over all sources; push ``budget + 1`` raises
+    ``BudgetExceededError``.
     """
-    stack = [iter(adj[u])]
-    taken = [(u, 0, 0)]  # the root, then the entry of each edge on the path
-    seen, used, pushes = 1 << u, 0, 0
-    while stack:
-        for e in stack[-1]:
-            if not (seen >> e[0] & 1 or used & e[2]):
-                break
-        else:
-            stack.pop()
-            b, _, bit = taken.pop()
-            seen ^= 1 << b
-            used ^= bit
-            continue
-        pushes += 1
-        if pushes > limit:
-            break
-        b = e[0]
-        seen |= 1 << b
-        used |= e[2]
-        taken.append(e)
+    pushes = 0
+    for s in sources:
+        stack = [iter(adj[s])]
+        taken = [(s, 0, 0)]
+        seen, used = 1 << s, 0
+        while stack:
+            for e in stack[-1]:
+                if not (seen >> e[0] & 1 or used & e[2]):
+                    break
+            else:
+                stack.pop()
+                b, _, bit = taken.pop()
+                seen ^= 1 << b
+                used ^= bit
+                continue
+            pushes += 1
+            if pushes > budget:
+                raise BudgetExceededError(_EXHAUSTED)
+            seen |= 1 << e[0]
+            used |= e[2]
+            taken.append(e)
+            yield taken, seen, used
+            stack.append(iter(adj[e[0]]))
+
+
+def _as_path(taken) -> RainbowPath:
+    # tuple(list) allocates once; tuple(genexp) reallocs
+    return RainbowPath(tuple([t[0] for t in taken]), tuple([t[1] for t in taken[1:]]))
+
+
+def _first_arrivals(adj, u: int, targets: int, budget: float = float("inf"), paths=None) -> int:
+    """Search from ``u`` until every target (a bitmask) is reached.
+
+    ``paths[v]`` gets the path at the first arrival at each target v; a DFS
+    aimed at v alone pushes exactly the same nodes up to there. Returns the
+    unreached targets.
+    """
+    for taken, _, _ in _rainbow_paths(adj, (u,), budget):
+        b = taken[-1][0]
         if targets >> b & 1:
             targets ^= 1 << b
-            if paths is not None:  # tuple(list) allocates once; tuple(genexp) reallocs
-                verts = [t[0] for t in taken]
-                paths[b] = RainbowPath(tuple(verts), tuple([t[1] for t in taken[1:]]))
+            if paths is not None:
+                paths[b] = _as_path(taken)
             if not targets:
                 break
-        stack.append(iter(adj[b]))
-    return pushes, targets
+    return targets
 
 
 def exists_rainbow_path(
@@ -158,8 +171,7 @@ def exists_rainbow_path(
         if not 0 <= x < g.n:
             raise InvalidParameterError(f"vertex {x} out of range")
     paths: dict[int, RainbowPath] = {}
-    if _first_arrivals(_adjacency(g, w), u, 1 << v, node_budget, paths)[0] > node_budget:
-        raise BudgetExceededError(_EXHAUSTED)
+    _first_arrivals(_adjacency(g, w), u, 1 << v, node_budget, paths)
     return paths.get(v)
 
 
@@ -181,11 +193,9 @@ def is_rainbow_connected(
     witnesses: dict[tuple[int, int], RainbowPath] = {}
     for u in range(g.n - 1):
         paths: dict[int, RainbowPath] = {}
-        pushes, _ = _first_arrivals(adj, u, (1 << g.n) - (2 << u), node_budget, paths)
+        _first_arrivals(adj, u, (1 << g.n) - (2 << u), node_budget, paths)
         for v in range(u + 1, g.n):
             if v not in paths:
-                if pushes > node_budget:
-                    raise BudgetExceededError(_EXHAUSTED)
                 return RainbowConnectivity(False, witnesses, failing_pair=(u, v))
             witnesses[(u, v)] = paths[v]
     return RainbowConnectivity(True, witnesses)
@@ -204,57 +214,28 @@ def max_new_color_path(
     sequence, making the winner unique and reproducible. ``max_gain`` caps
     the number of newly covered classes a candidate may claim (paths above
     the cap are traversed but not selected).
+
+    The search keeps the first path whose ``(gain, -edges)`` strictly
+    improves. A rainbow path with class mask c has exactly popcount(c)
+    edges, and the DFS meets paths of equal length in lexicographic order
+    of their vertex sequences, so the first path to reach the best key is
+    the lexicographically smallest among the tied ones.
     """
-    all_weights = set(w.classes)
-    if not all_weights - set(collected):
+    classes = sorted(w.classes)
+    if not set(classes) - set(collected):
         raise InvalidParameterError("every weight class is already collected")
-    budget = _Budget(node_budget)
-    best: tuple[tuple[int, int, tuple[int, ...]], list[int], list[int]] | None = None
-
-    path: list[int] = []
-    weights: list[int] = []
-    seen: set[int] = set()
-    used: set[int] = set()
-
-    def consider() -> None:
-        nonlocal best
-        gain = len(set(weights) - collected)
-        if max_gain is not None and gain > max_gain:
-            return
-        key = (-gain, len(weights), tuple(path))
-        if best is None or key < best[0]:
-            best = (key, list(path), list(weights))
-
-    def dfs(a: int) -> None:
-        for b in g.adjacency[a]:
-            if b in seen:
-                continue
-            wt = w.weight(a, b)
-            if wt in used:
-                continue
-            budget.spend()
-            path.append(b)
-            weights.append(wt)
-            seen.add(b)
-            used.add(wt)
-            consider()
-            dfs(b)
-            path.pop()
-            weights.pop()
-            seen.remove(b)
-            used.remove(wt)
-
-    for s in range(g.n):
-        path = [s]
-        weights = []
-        seen = {s}
-        used = set()
-        dfs(s)
-    if best is None or -best[0][0] <= 0:
+    new = sum(1 << i for i, c in enumerate(classes) if c not in collected)
+    cap = len(classes) if max_gain is None else max_gain
+    best, best_key = None, (0, 0)
+    for taken, _, used in _rainbow_paths(_adjacency(g, w), range(g.n), node_budget):
+        gain = (used & new).bit_count()
+        if gain <= cap and (gain, -len(taken)) > best_key:
+            best, best_key = _as_path(taken), (gain, -len(taken))
+    if best is None:
         # only reachable with max_gain <= 0; without a cap a single
         # uncollected edge always yields gain >= 1
         raise InvalidParameterError("no path adds an uncollected weight class")
-    return RainbowPath(tuple(best[1]), tuple(best[2]))
+    return best
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -339,8 +320,7 @@ def racn_exact(g: Graph, max_n: int = 8) -> RacnCertificate:
     def rainbow_connected() -> bool:
         adj = [[(b, s, 1 << s) for b in nbrs for s in (labels[a] + labels[b],)]
                for a, nbrs in enumerate(g.adjacency)]
-        return not any(_first_arrivals(adj, u, (1 << n) - (2 << u), float("inf"))[1]
-                       for u in range(n - 1))
+        return not any(_first_arrivals(adj, u, (1 << n) - (2 << u)) for u in range(n - 1))
 
     def assign(v: int, distinct: int, bound: int) -> int | None:
         nonlocal examined

@@ -164,6 +164,12 @@ class TestValidateFamily:
         assert row.racn_value is None
         assert any("racn skipped" in g for g in row.gaps)
 
+    def test_cover_budget_gap(self):
+        (row,) = validate_family("shadow", range(6, 7), cover_budget=50).rows
+        assert row.m_observed is None and row.rp_observed is None
+        assert "m/rp search skipped: budget exceeded" in row.gaps
+        assert not any(msg.startswith(("m:", "rp:")) for msg in row.mismatches)
+
 
 def test_validation_rows_agree_with_direct_solver():
     for family, p in (("shadow", 3), ("splitting", 4), ("mycielski", 2)):

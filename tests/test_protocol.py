@@ -23,6 +23,7 @@ from racnshare import (
     simulate_dissemination,
     simulate_reconstruction,
 )
+from racnshare.protocol import EMPIRICAL_NODE_BUDGET, _rainbow_path_signatures
 
 
 def deal(family, p, secret=b"vault-key", seed=0):
@@ -172,7 +173,7 @@ def test_empirical_cover_numbers(family):
 
 def test_empirical_search_budget():
     g, _, coloring = family_coloring("shadow", 6)
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(BudgetExceededError):
         empirical_rp(g, coloring, node_budget=50)
 
 
@@ -324,3 +325,98 @@ class TestDissemination:
             informed |= rnd.newly_informed
             assert rnd.informed_after == frozenset(informed)
         assert informed == set(range(g.n))
+
+
+def recursive_signatures(g, coloring, node_budget):
+    """The recursive ``_rainbow_path_signatures`` the shared enumerator replaced.
+
+    It raised ``InstanceTooLargeError`` where the enumerator now raises
+    ``BudgetExceededError``; the oracle keeps the old error.
+    """
+    classes = sorted(coloring.classes)
+    class_bit = {c: 1 << i for i, c in enumerate(classes)}
+    found = {}
+    steps = 0
+    path, used = [], set()
+
+    def dfs(a, cmask, vmask):
+        nonlocal steps
+        for b in g.adjacency[a]:
+            if (vmask >> b) & 1:
+                continue
+            wt = coloring.weight(a, b)
+            if wt in used:
+                continue
+            steps += 1
+            if steps > node_budget:
+                raise InstanceTooLargeError("rainbow-path cover search exceeded its step budget")
+            path.append(b)
+            used.add(wt)
+            nm = cmask | class_bit[wt]
+            vm = vmask | (1 << b)
+            found.setdefault((nm, vm), tuple(path))
+            dfs(b, nm, vm)
+            path.pop()
+            used.remove(wt)
+
+    for s in range(g.n):
+        path, used = [s], set()
+        dfs(s, 0, 1 << s)
+    return classes, found
+
+
+SIGNATURE_CELLS = [(f, p) for f in ("shadow", "splitting", "mycielski") for p in range(2, 11)]
+
+
+class TestSignaturesMatchRecursive:
+    @pytest.mark.parametrize("family,p", SIGNATURE_CELLS)
+    def test_same_map_in_same_order(self, family, p):
+        g, _, coloring = family_coloring(family, p)
+        classes, found = _rainbow_path_signatures(g, coloring, EMPIRICAL_NODE_BUDGET)
+        want_classes, want = recursive_signatures(g, coloring, EMPIRICAL_NODE_BUDGET)
+        assert classes == want_classes
+        assert list(found.items()) == list(want.items())
+
+    @pytest.mark.parametrize("family", ["shadow", "splitting", "mycielski"])
+    def test_budget_raises_agree(self, family):
+        g, _, coloring = family_coloring(family, 3)
+        raised = set()
+        for budget in range(1, 200, 3):
+            try:
+                recursive_signatures(g, coloring, budget)
+            except InstanceTooLargeError:
+                raised.add(budget)
+                with pytest.raises(BudgetExceededError):
+                    _rainbow_path_signatures(g, coloring, budget)
+            else:
+                _rainbow_path_signatures(g, coloring, budget)
+        assert 1 in raised and 199 not in raised
+
+
+# phase paths recorded before the shared enumerator replaced the recursive
+# searches, on the protocol benchmark's reconstruction instances (the
+# optimal shadow p=9 cell exceeds the recursion limit and is left out)
+FROZEN_PHASES = {
+    ("shadow", 24, "greedy"): [
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 36, 35, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+         21, 22, 23)],
+    ("splitting", 40, "greedy"): [(41, *range(40), 78)],
+    ("mycielski", 12, "greedy"): [
+        (12, 24, 13, *range(12), 22), (14, 24, 15), (16, 24, 17), (18, 24, 19),
+        (20, 24, 21), (22, 24)],
+    ("shadow", 24, "clamp"): [(*range(24), 46), (0, 25)],
+    ("mycielski", 14, "clamp"): [
+        (14, 28, 15, *range(14), 26), (16, 28, 17), (18, 28, 19), (20, 28, 21),
+        (22, 28, 23), (24, 28, 25), (26, 28)],
+    ("shadow", 8, "optimal"): [(0, 1, 2, 3, 12, 11, 4, 5, 6, 7)],
+    ("splitting", 14, "optimal"): [(15, *range(14), 26)],
+    ("mycielski", 5, "optimal"): [(5, 10, 6, 0, 1, 2, 3, 4, 8), (6, 0, 1, 2, 3, 4, 8, 10, 7)],
+}
+
+
+@pytest.mark.parametrize("family,p,mode", sorted(FROZEN_PHASES))
+def test_frozen_phase_paths(family, p, mode):
+    inst = deal(family, p)
+    trace = simulate_reconstruction(inst, clamp=mode == "clamp", optimal=mode == "optimal")
+    assert [path.vertices for path, _ in trace.phases] == FROZEN_PHASES[family, p, mode]
+    assert trace.recovered == inst.secret

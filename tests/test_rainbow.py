@@ -345,3 +345,95 @@ class TestSingleSourceMatchesPairDFS:
                 assert outcome(exists_rainbow_path, g, w, u, v, node_budget=budget) == \
                     outcome(pair_dfs_path, g, w, u, v, budget), (budget, u, v)
         assert 1 in raised and 60 not in raised
+
+
+def recursive_max_new_color_path(g, w, collected=frozenset(), node_budget=1_000_000,
+                                 max_gain=None):
+    """The recursive ``max_new_color_path`` the shared enumerator replaced.
+
+    Scans every rainbow path and keeps the least ``(-gain, edges, vertices)``
+    key; raises ``BudgetExceededError`` on push number ``node_budget + 1``.
+    """
+    if not set(w.classes) - set(collected):
+        raise InvalidParameterError("every weight class is already collected")
+    left = [node_budget]
+    best = None
+    path, weights, seen, used = [], [], set(), set()
+
+    def consider():
+        nonlocal best
+        gain = len(set(weights) - collected)
+        if max_gain is not None and gain > max_gain:
+            return
+        key = (-gain, len(weights), tuple(path))
+        if best is None or key < best[0]:
+            best = (key, list(path), list(weights))
+
+    def dfs(a):
+        for b in g.adjacency[a]:
+            if b in seen:
+                continue
+            wt = w.weight(a, b)
+            if wt in used:
+                continue
+            left[0] -= 1
+            if left[0] < 0:
+                raise BudgetExceededError("oracle budget exhausted")
+            path.append(b)
+            weights.append(wt)
+            seen.add(b)
+            used.add(wt)
+            consider()
+            dfs(b)
+            path.pop()
+            weights.pop()
+            seen.remove(b)
+            used.remove(wt)
+
+    for s in range(g.n):
+        path, weights, seen, used = [s], [], {s}, set()
+        dfs(s)
+    if best is None or -best[0][0] <= 0:
+        raise InvalidParameterError("no path adds an uncollected weight class")
+    return RainbowPath(tuple(best[1]), tuple(best[2]))
+
+
+def collected_sets(w):
+    """Nothing, the smallest class, every other class, all but the largest."""
+    classes = sorted(w.classes)
+    return [frozenset(), frozenset(classes[:1]), frozenset(classes[::2]),
+            frozenset(classes[:-1])]
+
+
+FAMILY_CELLS = [(f, p) for f in ("shadow", "splitting", "mycielski") for p in range(2, 11)]
+
+
+class TestMaxNewColorPathMatchesRecursive:
+    @pytest.mark.parametrize("family,p", FAMILY_CELLS)
+    def test_same_winner(self, family, p):
+        g, _, w = family_coloring(family, p)
+        k = len(w.classes)
+        for collected in collected_sets(w):
+            for max_gain in (None, k - 1, 1):
+                assert max_new_color_path(g, w, collected, max_gain=max_gain) == \
+                    recursive_max_new_color_path(g, w, collected, max_gain=max_gain), \
+                    (sorted(collected), max_gain)
+
+    def test_gain_cap_of_zero_raises_in_both(self):
+        g, _, w = family_coloring("shadow", 3)
+        for fn in (max_new_color_path, recursive_max_new_color_path):
+            with pytest.raises(InvalidParameterError):
+                fn(g, w, max_gain=0)
+
+    @pytest.mark.parametrize("family", ["shadow", "splitting", "mycielski"])
+    def test_budget_raises_agree(self, family):
+        g, _, w = family_coloring(family, 3)
+        raised = set()
+        for budget in range(1, 200, 3):
+            for collected in collected_sets(w):
+                got = outcome(max_new_color_path, g, w, collected, node_budget=budget)
+                want = outcome(recursive_max_new_color_path, g, w, collected, budget)
+                assert got == want, (budget, sorted(collected))
+                if want == "budget":
+                    raised.add(budget)
+        assert 1 in raised and 199 not in raised
