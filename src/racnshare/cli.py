@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--secret-hex")
     s.add_argument("--k", required=True, type=int)
     s.add_argument("--shares", required=True, type=int)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, help="omit for private coefficients")
 
     s = sub.add_parser("reconstruct", help="recover a secret from shares")
     s.add_argument(
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(s)
     s.add_argument("--secret", default="secret")
     s.add_argument("--secret-hex")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, help="omit for private coefficients")
     s.add_argument("--clamp", action="store_true")
     s.add_argument("--optimal", action="store_true")
 

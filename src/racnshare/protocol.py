@@ -57,7 +57,8 @@ class SchemeInstance:
         return out
 
 
-def distribute(graph: Graph, labeling: Labeling, secret: bytes, seed: int = 0) -> SchemeInstance:
+def distribute(graph: Graph, labeling: Labeling, secret: bytes,
+               seed: int | None = None) -> SchemeInstance:
     """Split ``secret`` into k = #classes shares; class i-th smallest -> index i."""
     if not graph.is_connected():
         raise NotConnectedError("graph is not connected")
@@ -117,7 +118,9 @@ def simulate_reconstruction(
     # then fewer edges, then the lexicographically first vertex sequence
     pool = None
     if optimal:
-        pool = sorted(_optimal_cover(g, coloring, node_budget), key=lambda p: p.vertices)
+        found, cover, _ = _min_vertex_cover_choice(g, coloring, node_budget)
+        pool = [RainbowPath(vs, tuple(coloring.weight(a, b) for a, b in zip(vs, vs[1:])))
+                for vs in sorted(found[pair] for pair in cover)]
     max_gain = max(1, k - 1) if clamp else None
     chosen: list[RainbowPath] = []
     collected: frozenset[int] = frozenset()
@@ -149,17 +152,12 @@ def _finish_trace(
         phases.append((path, newly))
         cumulative.append(collected)
         used |= set(path.vertices)
-    if partial:
-        return ReconstructionTrace(
-            phases=tuple(phases),
-            collected_after=tuple(cumulative),
-            participants_used=frozenset(used),
-            recovered=b"",
-        )
-    shares = [instance.class_to_share[w] for w in sorted(collected)]
-    recovered = reconstruct(shares, instance.threshold)
-    if recovered != instance.secret:
-        raise RacnShareError("reconstructed secret does not match the original")
+    recovered = b""
+    if not partial:
+        shares = [instance.class_to_share[w] for w in sorted(collected)]
+        recovered = reconstruct(shares, instance.threshold)
+        if recovered != instance.secret:
+            raise RacnShareError("reconstructed secret does not match the original")
     return ReconstructionTrace(
         phases=tuple(phases),
         collected_after=tuple(cumulative),
@@ -219,21 +217,6 @@ def empirical_m(
     """Fewest distinct vertices over all minimum-phase rainbow-path covers."""
     _, _, best_vertices = _min_vertex_cover_choice(g, coloring, node_budget)
     return len(best_vertices)
-
-
-def _optimal_cover(
-    g: Graph, coloring: WeightedColoring, node_budget: int = EMPIRICAL_NODE_BUDGET
-) -> list[RainbowPath]:
-    """A minimum-phase cover with fewest distinct vertices, as actual paths."""
-    found, chosen_pairs, _ = _min_vertex_cover_choice(g, coloring, node_budget)
-    out = []
-    for pair in chosen_pairs:
-        vertices = found[pair]
-        weights = tuple(
-            coloring.weight(a, b) for a, b in zip(vertices, vertices[1:])
-        )
-        out.append(RainbowPath(vertices, weights))
-    return out
 
 
 def _min_vertex_cover_choice(
@@ -305,6 +288,72 @@ def _min_vertex_cover_choice(
     return found, best_pick, {v for v in range(g.n) if union >> v & 1}
 
 
+def _cycles(
+    g: Graph, max_len: int | None, chordless: bool, budget: int = CYCLE_BUDGET
+) -> list[tuple[tuple[int, ...], int]]:
+    """Every canonical simple cycle with its vertex bitmask, by (length, sequence).
+
+    One DFS grows each cycle from its smallest vertex s through higher ones
+    and closes it at a neighbour of s above the second vertex. ``chordless``
+    skips a vertex adjacent to the path's interior and stops, after closing,
+    at a neighbour of s. A vertex is pushed only if a path that keeps these
+    rules can still lead from it to a closing vertex. Cycle ``budget + 1``
+    raises ``BudgetExceededError``.
+    """
+    limit = g.n if max_len is None else max_len
+    nbrs = [sum(1 << u for u in a) for a in g.adjacency]
+    found: list[tuple[tuple[int, ...], int]] = []
+    for s in range(g.n if limit >= 3 else 0):
+        up = [[u for u in a if u > s] for a in g.adjacency]
+        stop = nbrs[s] if chordless else 0  # chordless: a neighbour of s ends the path
+        for v1 in up[s]:
+            closers = nbrs[s] & (-2 << v1)
+            path = [s, v1]
+            on = 1 << s | 1 << v1
+            # a frame holds the children and, if chordless, the interior's neighbours
+            stack = [(iter(up[v1]), 0)]
+            while stack:
+                children, near = stack[-1]
+                wall = near | nbrs[path[-1]] if chordless else 0  # once u is pushed
+                for u in children:
+                    bit = 1 << u
+                    if (on | near) & bit:
+                        continue
+                    if closers & bit:
+                        if len(found) == budget:
+                            raise BudgetExceededError(f"more than {budget} cycles enumerated")
+                        found.append(((*path, u), on | bit))
+                    if stop & bit or len(path) + 1 >= limit:
+                        continue
+                    if _reaches(nbrs, u, -2 << s & ~(on | wall | stop), closers & ~(on | wall)):
+                        break
+                else:
+                    stack.pop()
+                    on ^= 1 << path.pop()
+                    continue
+                path.append(u)
+                on |= bit
+                stack.append((iter(up[u]), wall))
+    found.sort(key=lambda cm: (len(cm[0]), cm[0]))
+    return found
+
+
+def _reaches(nbrs: list[int], u: int, free: int, targets: int) -> bool:
+    """True when a path from ``u`` through ``free`` vertices meets a target besides ``u``."""
+    seen = front = 1 << u
+    while front:
+        nxt = 0
+        while front:
+            low = front & -front
+            nxt |= nbrs[low.bit_length() - 1]
+            front ^= low
+        if nxt & targets & ~seen:
+            return True
+        front = nxt & free & ~seen
+        seen |= front
+    return False
+
+
 def enumerate_cycles(
     g: Graph,
     anchor: frozenset[int] | set[int],
@@ -315,37 +364,13 @@ def enumerate_cycles(
 
     Canonical form starts at the cycle's smallest vertex and takes the
     orientation whose second vertex is smaller than its last; results are
-    sorted by (length, vertex sequence). An empty anchor yields [].
+    sorted by (length, vertex sequence). An empty anchor yields []. The
+    budget counts every cycle of the graph, anchored or not.
     """
     if not anchor:
         return []
-    limit = g.n if max_len is None else max_len
-    out: set[tuple[int, ...]] = set()
-    count = 0
-
-    def grow(start: int, path: list[int], on_path: set[int]) -> None:
-        nonlocal count
-        v = path[-1]
-        for u in g.adjacency[v]:
-            if u == start and len(path) >= 3:
-                if path[1] < path[-1]:
-                    count += 1
-                    if count > cycle_budget:
-                        raise BudgetExceededError(
-                            f"more than {cycle_budget} cycles enumerated"
-                        )
-                    out.add(tuple(path))
-            elif u > start and u not in on_path and len(path) < limit:
-                path.append(u)
-                on_path.add(u)
-                grow(start, path, on_path)
-                path.pop()
-                on_path.remove(u)
-
-    for s in range(g.n):
-        grow(s, [s], {s})
-    anchored = [c for c in out if set(c) & set(anchor)]
-    return sorted(anchored, key=lambda c: (len(c), c))
+    anchor = frozenset(anchor)
+    return [c for c, _ in _cycles(g, max_len, False, cycle_budget) if not anchor.isdisjoint(c)]
 
 
 def is_chordless(g: Graph, cycle: tuple[int, ...]) -> bool:
@@ -390,14 +415,16 @@ def simulate_dissemination(
 ) -> DisseminationTrace:
     """Broadcast from ``informed0`` until everyone is informed.
 
-    Each round fires circuits anchored at a vertex informed before the
-    round started; within the round, circuits are chosen greedily by most
-    newly informed vertices (ties: shorter, then lexicographic) until no
-    circuit adds anyone. A round with no useful circuit becomes a fallback
-    round that pushes the payload along BFS shortest paths instead.
+    Cycles are enumerated once per run, under ``CYCLE_BUDGET``. Each round
+    fires circuits anchored at a vertex informed before the round started;
+    within the round, circuits are chosen greedily by most newly informed
+    vertices (ties: shorter, then lexicographic) until no circuit adds
+    anyone. A round with no useful circuit becomes a fallback round that
+    pushes the payload along BFS shortest paths instead.
 
-    ``cycle_policy`` is "chordless" (default: only induced cycles carry)
-    or "all" (any simple cycle may fire).
+    ``cycle_policy`` is "chordless" (default: only induced cycles carry,
+    and only they count against the budget) or "all" (any simple cycle
+    may fire).
     """
     if not informed0:
         raise InvalidParameterError("informed0 must be nonempty")
@@ -408,51 +435,37 @@ def simulate_dissemination(
         raise InvalidParameterError(
             f"cycle_policy must be 'chordless' or 'all', got {cycle_policy!r}"
         )
-    unreachable = _unreachable_from(g, set(informed0))
+    unreachable = set(range(g.n)) - set(informed0) - _fallback_paths(g, informed0)[1]
     if unreachable:
         raise UnreachableParticipantsError(tuple(sorted(unreachable)))
 
     informed = set(informed0)
-    everyone = set(range(g.n))
     rounds: list[DisseminationRound] = []
-
-    while informed != everyone:
-        anchor = frozenset(informed)
-        candidates = enumerate_cycles(g, anchor, max_len=max_len)
-        if cycle_policy == "chordless":
-            candidates = [c for c in candidates if is_chordless(g, c)]
+    cycles = _cycles(g, max_len, cycle_policy == "chordless") if len(informed) < g.n else []
+    while len(informed) < g.n:
+        mask = sum(1 << v for v in informed)
+        candidates = [cm for cm in cycles if cm[1] & mask]
         fired: list[tuple[int, ...]] = []
-        newly: set[int] = set()
+        newly = 0
         while True:
-            best = None
-            for c in candidates:
-                gain = len(set(c) - informed - newly)
-                if gain == 0:
-                    continue
-                key = (-gain, len(c), c)
-                if best is None or key < best[0]:
-                    best = (key, c)
-            if best is None:
+            rest = ~(mask | newly)
+            # max keeps the first best: ties go to shorter, then lexicographically first
+            best = max(candidates, key=lambda cm: (cm[1] & rest).bit_count(), default=None)
+            if best is None or not best[1] & rest:
                 break
-            fired.append(best[1])
-            newly |= set(best[1]) - informed
+            fired.append(best[0])
+            newly |= best[1] & rest
         if fired:
-            informed |= newly
-            rounds.append(
-                DisseminationRound(
-                    kind="cycles",
-                    circuits=tuple(fired),
-                    newly_informed=frozenset(newly),
-                    informed_after=frozenset(informed),
-                )
-            )
-            continue
-        paths, reached = _fallback_paths(g, informed)
+            reached = {v for v in range(g.n) if newly >> v & 1}
+            kind = "cycles"
+        else:
+            fired, reached = _fallback_paths(g, informed)
+            kind = "fallback"
         informed |= reached
         rounds.append(
             DisseminationRound(
-                kind="fallback",
-                circuits=tuple(paths),
+                kind=kind,
+                circuits=tuple(fired),
                 newly_informed=frozenset(reached),
                 informed_after=frozenset(informed),
             )
@@ -460,43 +473,23 @@ def simulate_dissemination(
     return DisseminationTrace(informed_start=frozenset(informed0), rounds=tuple(rounds))
 
 
-def _unreachable_from(g: Graph, sources: set[int]) -> set[int]:
-    seen = set(sources)
-    dq = deque(sorted(sources))
-    while dq:
-        v = dq.popleft()
-        for u in g.adjacency[v]:
-            if u not in seen:
-                seen.add(u)
-                dq.append(u)
-    return set(range(g.n)) - seen
-
-
 def _fallback_paths(
-    g: Graph, informed: set[int]
+    g: Graph, informed: set[int] | frozenset[int]
 ) -> tuple[list[tuple[int, ...]], set[int]]:
-    """BFS shortest paths from the informed set to everyone else.
+    """BFS shortest paths from the informed set to everyone it reaches.
 
-    Paths that are prefixes of longer delivered paths are dropped — the
-    longer traversal already hands the payload to every vertex on the way.
+    A path to a reached vertex's BFS parent is dropped: it is a prefix of a
+    longer delivered path, which hands the payload to every vertex on it.
     """
-    parent: dict[int, int | None] = {v: None for v in informed}
+    route = {v: (v,) for v in informed}
     dq = deque(sorted(informed))
     order: list[int] = []
     while dq:
         v = dq.popleft()
         for u in g.adjacency[v]:
-            if u not in parent:
-                parent[u] = v
+            if u not in route:
+                route[u] = route[v] + (u,)
                 dq.append(u)
                 order.append(u)
-    paths = []
-    for t in order:
-        seq = [t]
-        while parent[seq[-1]] is not None:
-            seq.append(parent[seq[-1]])  # type: ignore[arg-type]
-        paths.append(tuple(reversed(seq)))
-    keep = [
-        p for p in paths if not any(q != p and q[: len(p)] == p for q in paths)
-    ]
-    return keep, set(order)
+    relays = {route[u][-2] for u in order}
+    return [route[t] for t in order if t not in relays], set(order)

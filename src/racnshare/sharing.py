@@ -7,12 +7,14 @@ secret byte is split independently: a random polynomial of degree k-1
 with the byte as constant term is evaluated at the share indexes, and
 Lagrange interpolation at 0 recovers the byte from any k shares.
 
-Coefficients come from a seeded generator so runs are reproducible;
-this is deliberately not cryptographic-quality randomness.
+Without a seed the coefficients come from ``os.urandom``, so fewer than k
+shares say nothing about the secret. A seed makes a split reproducible, but
+anyone who knows it can recompute the coefficients: for tests and examples.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 
@@ -85,11 +87,11 @@ class SecretConfig:
 
     threshold: int
     share_count: int
-    seed: int = 0
+    seed: int | None = None
 
     def __post_init__(self) -> None:
-        k, n = self.threshold, self.share_count
-        if not (isinstance(k, int) and isinstance(n, int) and isinstance(self.seed, int)):
+        k, n, seed = self.threshold, self.share_count, self.seed
+        if not (isinstance(k, int) and isinstance(n, int) and isinstance(seed, (int, type(None)))):
             raise InvalidConfigError("threshold, share_count, seed must be integers")
         if not 1 <= k <= n <= 255:
             raise InvalidConfigError(
@@ -110,17 +112,22 @@ class Share:
 def split(secret: bytes, cfg: SecretConfig) -> list[Share]:
     """Split into cfg.share_count shares, any cfg.threshold of which recover.
 
-    The coefficient stream is forked per byte position — byte i draws from
-    ``random.Random((seed << 64) | i)`` — so shares of a long secret do not
-    depend on how earlier bytes consumed randomness.
+    Each byte's k-1 coefficients come from ``os.urandom``, or with a seed
+    from ``random.Random((seed << 64) | i)`` for byte i, so shares of a long
+    secret do not depend on how earlier bytes consumed randomness.
     """
     if not isinstance(secret, (bytes, bytearray)) or len(secret) == 0:
         raise InvalidConfigError("secret must be a nonempty byte string")
     secret = bytes(secret)
     payloads = [bytearray(len(secret)) for _ in range(cfg.share_count)]
+    width = cfg.threshold - 1
+    pool = os.urandom(len(secret) * width) if cfg.seed is None else b""
     for byte_index, byte in enumerate(secret):
-        rng = random.Random((cfg.seed << 64) | byte_index)
-        coeffs = [byte] + [rng.randrange(256) for _ in range(cfg.threshold - 1)]
+        if cfg.seed is None:
+            coeffs = [byte, *pool[byte_index * width:(byte_index + 1) * width]]
+        else:
+            rng = random.Random((cfg.seed << 64) | byte_index)
+            coeffs = [byte] + [rng.randrange(256) for _ in range(width)]
         for s in range(cfg.share_count):
             payloads[s][byte_index] = gf_eval(coeffs, s + 1)
     return [Share(index=s + 1, payload=bytes(payloads[s])) for s in range(cfg.share_count)]

@@ -138,6 +138,16 @@ class TestShares:
         assert d["secret_utf8"] == "hello"
         assert bytes.fromhex(d["secret_hex"]) == b"hello"
 
+    def test_split_without_seed_is_not_reproducible(self, capsys):
+        argv = ("split", "--secret", "hello", "--k", "2", "--shares", "3")
+        first, second = run_json(capsys, *argv), run_json(capsys, *argv)
+        assert first != second
+        assert first != run_json(capsys, *argv, "--seed", "0")
+        picked = [f"{s['index']}:{s['payload_hex']}" for s in first[:2]]
+        d = run_json(capsys, "reconstruct", "--share", picked[0], "--share", picked[1],
+                     "--k", "2")
+        assert d["secret_utf8"] == "hello"
+
     def test_reconstruct_from_file(self, capsys, tmp_path):
         shares = run_json(
             capsys, "split", "--secret-hex", "deadbeef", "--k", "2", "--shares", "3"

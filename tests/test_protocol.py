@@ -1,9 +1,12 @@
 import dataclasses
+from collections import deque
 
 import pytest
 
 from racnshare import (
     BudgetExceededError,
+    DisseminationRound,
+    DisseminationTrace,
     InstanceTooLargeError,
     InvalidConfigError,
     InvalidParameterError,
@@ -23,7 +26,12 @@ from racnshare import (
     simulate_dissemination,
     simulate_reconstruction,
 )
-from racnshare.protocol import EMPIRICAL_NODE_BUDGET, _rainbow_path_signatures
+from racnshare.protocol import (
+    CYCLE_BUDGET,
+    EMPIRICAL_NODE_BUDGET,
+    _cycles,
+    _rainbow_path_signatures,
+)
 
 
 def deal(family, p, secret=b"vault-key", seed=0):
@@ -420,3 +428,144 @@ def test_frozen_phase_paths(family, p, mode):
     trace = simulate_reconstruction(inst, clamp=mode == "clamp", optimal=mode == "optimal")
     assert [path.vertices for path, _ in trace.phases] == FROZEN_PHASES[family, p, mode]
     assert trace.recovered == inst.secret
+
+
+def recursive_enumerate_cycles(g, anchor, max_len=None, cycle_budget=CYCLE_BUDGET):
+    """The recursive ``enumerate_cycles`` that the one cycle DFS replaced."""
+    if not anchor:
+        return []
+    limit = g.n if max_len is None else max_len
+    out = set()
+    count = 0
+
+    def grow(start, path, on_path):
+        nonlocal count
+        v = path[-1]
+        for u in g.adjacency[v]:
+            if u == start and len(path) >= 3:
+                if path[1] < path[-1]:
+                    count += 1
+                    if count > cycle_budget:
+                        raise BudgetExceededError(f"more than {cycle_budget} cycles enumerated")
+                    out.add(tuple(path))
+            elif u > start and u not in on_path and len(path) < limit:
+                path.append(u)
+                on_path.add(u)
+                grow(start, path, on_path)
+                path.pop()
+                on_path.remove(u)
+
+    for s in range(g.n):
+        grow(s, [s], {s})
+    anchored = [c for c in out if set(c) & set(anchor)]
+    return sorted(anchored, key=lambda c: (len(c), c))
+
+
+def prefix_filtered_fallback_paths(g, informed):
+    """The fallback paths with the quadratic prefix filter they had before."""
+    parent = {v: None for v in informed}
+    dq = deque(sorted(informed))
+    order = []
+    while dq:
+        v = dq.popleft()
+        for u in g.adjacency[v]:
+            if u not in parent:
+                parent[u] = v
+                dq.append(u)
+                order.append(u)
+    paths = []
+    for t in order:
+        seq = [t]
+        while parent[seq[-1]] is not None:
+            seq.append(parent[seq[-1]])
+        paths.append(tuple(reversed(seq)))
+    keep = [p for p in paths if not any(q != p and q[: len(p)] == p for q in paths)]
+    return keep, set(order)
+
+
+def per_round_dissemination(g, informed0, cycle_policy="chordless", max_len=None):
+    """``simulate_dissemination`` as it was: enumerate and filter in every round."""
+    informed = set(informed0)
+    rounds = []
+    while informed != set(range(g.n)):
+        candidates = recursive_enumerate_cycles(g, frozenset(informed), max_len=max_len)
+        if cycle_policy == "chordless":
+            candidates = [c for c in candidates if is_chordless(g, c)]
+        fired, newly = [], set()
+        while True:
+            best = None
+            for c in candidates:
+                gain = len(set(c) - informed - newly)
+                if gain and (best is None or (-gain, len(c), c) < best[0]):
+                    best = ((-gain, len(c), c), c)
+            if best is None:
+                break
+            fired.append(best[1])
+            newly |= set(best[1]) - informed
+        if fired:
+            informed |= newly
+            rounds.append(DisseminationRound("cycles", tuple(fired), frozenset(newly),
+                                             frozenset(informed)))
+            continue
+        paths, reached = prefix_filtered_fallback_paths(g, informed)
+        informed |= reached
+        rounds.append(DisseminationRound("fallback", tuple(paths), frozenset(reached),
+                                         frozenset(informed)))
+    return DisseminationTrace(frozenset(informed0), tuple(rounds))
+
+
+CYCLE_CELLS = [(f, p) for f in ("shadow", "splitting", "mycielski") for p in range(2, 10)]
+
+
+class TestCyclesMatchPerRound:
+    @pytest.mark.parametrize("family,p", CYCLE_CELLS)
+    def test_same_traces(self, family, p):
+        g = build_graph(family, p)
+        for start in ({0}, {g.n // 2}, {1, g.n - 1}):
+            for policy in ("chordless", "all"):
+                for max_len in (None, 3, 4, 6):
+                    got = simulate_dissemination(g, start, policy, max_len)
+                    assert got == per_round_dissemination(g, start, policy, max_len), (
+                        start, policy, max_len)
+
+    def test_fixture_traces(self):
+        g = fixture_graph()
+        for v in range(g.n):
+            for policy in ("chordless", "all"):
+                for max_len in (None, 3, 5):
+                    got = simulate_dissemination(g, {v}, policy, max_len)
+                    assert got == per_round_dissemination(g, {v}, policy, max_len)
+
+    @pytest.mark.parametrize("family,p", [("shadow", 6), ("splitting", 7), ("mycielski", 5)])
+    def test_same_anchored_cycles(self, family, p):
+        g = build_graph(family, p)
+        for anchor in ({0}, {g.n - 1}, {1, g.n // 2}, set(range(g.n)), frozenset()):
+            for max_len in (None, 3, 5):
+                assert enumerate_cycles(g, anchor, max_len) == recursive_enumerate_cycles(
+                    g, anchor, max_len)
+
+    @pytest.mark.parametrize("g", [fixture_graph(), build_graph("shadow", 4),
+                                   build_graph("mycielski", 3)], ids=["fig1", "shadow4", "myc3"])
+    def test_budget_raises_agree(self, g):
+        everyone = frozenset(range(g.n))
+        chordless = [c for c in recursive_enumerate_cycles(g, everyone) if is_chordless(g, c)]
+        for budget in range(1, 51):
+            try:
+                want = recursive_enumerate_cycles(g, everyone, cycle_budget=budget)
+            except BudgetExceededError as err:
+                with pytest.raises(BudgetExceededError, match=str(err)):
+                    enumerate_cycles(g, everyone, cycle_budget=budget)
+            else:
+                assert enumerate_cycles(g, everyone, cycle_budget=budget) == want
+            # a chordless run charges only the chordless cycles it emits
+            if budget < len(chordless):
+                with pytest.raises(BudgetExceededError):
+                    _cycles(g, None, True, budget)
+            else:
+                assert [c for c, _ in _cycles(g, None, True, budget)] == chordless
+
+    def test_masks_match_cycles(self):
+        g = build_graph("mycielski", 4)
+        for chordless in (False, True):
+            for c, mask in _cycles(g, None, chordless):
+                assert mask == sum(1 << v for v in c)

@@ -93,6 +93,9 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             SecretConfig(threshold=2, share_count=5, seed="x")
 
+    def test_seed_defaults_to_none(self):
+        assert SecretConfig(threshold=2, share_count=3).seed is None
+
     def test_share_index_range(self):
         with pytest.raises(InvalidConfigError):
             Share(index=0, payload=b"a")
@@ -183,3 +186,42 @@ def test_single_share_reveals_nothing():
                 consistent.add(candidate)
                 break
     assert consistent == set(range(256))
+
+
+def test_unseeded_shares_reveal_nothing():
+    """k-1 shares dealt without a seed are consistent with every secret byte.
+
+    Criterion 5's enumeration: for each candidate byte, exactly one degree-1
+    polynomial through it agrees with the observed share.
+    """
+    secret = b"\x5a\xff"
+    for observed in split(secret, SecretConfig(2, 3))[:2]:
+        for pos in range(len(secret)):
+            counts = {
+                candidate: sum(
+                    1 for a1 in range(256)
+                    if gf_eval([candidate, a1], observed.index) == observed.payload[pos]
+                )
+                for candidate in range(256)
+            }
+            assert set(counts.values()) == {1}
+
+
+def test_unseeded_splits_draw_fresh_coefficients():
+    secret = b"sixteen byte key"
+    a, b = split(secret, SecretConfig(3, 5)), split(secret, SecretConfig(3, 5))
+    assert a != b
+    assert a != split(secret, SecretConfig(3, 5, seed=0))
+    assert reconstruct(a[2:], 3) == reconstruct(b[:3], 3) == secret
+
+
+def test_seeded_split_bytes_pinned():
+    """An explicit seed keeps the per-byte ``random.Random`` stream byte for byte."""
+    shares = split(b"racnshare pins this", SecretConfig(3, 5, seed=2024))
+    assert [s.payload.hex() for s in shares] == [
+        "e546990b9cfe5cabc97a8992ef3e22b69ca77a",
+        "fbd6151964d7092834c8207028f9370797cc0e",
+        "6cf1ef7c8b4134f19892d98ba9b435c5630207",
+        "bddddd42381bf9278f8002a6853c420fbdb02e",
+        "2afa2727d78dc4fe23dafb5d047140cd497e27",
+    ]
