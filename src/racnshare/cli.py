@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 1 a verification/validation failure under --strict;
 2 invalid input; 3 a search budget or instance-size cap was exceeded;
-4 an internal error (any other exception, such as ``RecursionError``).
+4 an internal error (any other exception, which is a bug).
 """
 
 from __future__ import annotations

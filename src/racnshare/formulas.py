@@ -220,8 +220,8 @@ def validate_family(
         g, lab, coloring = family_coloring(family, p)
         gaps: list[str] = []
         try:
-            _, cover, vertices = protocol._min_vertex_cover_choice(g, coloring, cover_budget)
-            rp_obs, m_obs = len(cover), len(vertices)
+            paths = protocol._min_vertex_cover_choice(g, coloring, cover_budget)
+            rp_obs, m_obs = len(paths), len(set().union(*paths))
         except BudgetExceededError:
             rp_obs = m_obs = None
             gaps.append("m/rp search skipped: budget exceeded")

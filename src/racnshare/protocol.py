@@ -26,7 +26,7 @@ from .errors import (
 from .formulas import SCHEME_FAMILIES, scheme_parameters, SchemeParameters
 from .graphs import Graph
 from .labelings import Labeling, WeightedColoring, edge_weights
-from .rainbow import RainbowPath, _adjacency, _rainbow_paths, max_new_color_path
+from .rainbow import _EXHAUSTED, RainbowPath, _adjacency, _rainbow_paths, max_new_color_path
 from .sharing import SecretConfig, Share, reconstruct, split
 
 EMPIRICAL_NODE_BUDGET = 10_000_000
@@ -118,9 +118,8 @@ def simulate_reconstruction(
     # then fewer edges, then the lexicographically first vertex sequence
     pool = None
     if optimal:
-        found, cover, _ = _min_vertex_cover_choice(g, coloring, node_budget)
         pool = [RainbowPath(vs, tuple(coloring.weight(a, b) for a, b in zip(vs, vs[1:])))
-                for vs in sorted(found[pair] for pair in cover)]
+                for vs in _min_vertex_cover_choice(g, coloring, node_budget)]
     max_gain = max(1, k - 1) if clamp else None
     chosen: list[RainbowPath] = []
     collected: frozenset[int] = frozenset()
@@ -215,17 +214,24 @@ def empirical_m(
     g: Graph, coloring: WeightedColoring, node_budget: int = EMPIRICAL_NODE_BUDGET
 ) -> int:
     """Fewest distinct vertices over all minimum-phase rainbow-path covers."""
-    _, _, best_vertices = _min_vertex_cover_choice(g, coloring, node_budget)
-    return len(best_vertices)
+    return len(set().union(*_min_vertex_cover_choice(g, coloring, node_budget)))
 
 
 def _min_vertex_cover_choice(
     g: Graph, coloring: WeightedColoring, node_budget: int
-) -> tuple[dict[tuple[int, int], tuple[int, ...]], list[tuple[int, int]], set[int]]:
-    """One cover search, for both ``rp`` and ``m``.
+) -> list[tuple[int, ...]]:
+    """One cover search, for both ``rp`` and ``m``: a minimum-phase rainbow-path
+    cover with the fewest distinct vertices, as its paths' vertex tuples, sorted.
 
-    Returns the signature map, a minimum-phase cover with the fewest
-    distinct vertices as (class mask, vertex mask) pairs, and its vertex set.
+    ``_min_phases`` gives the depth ``rp``. An iterative search then branches
+    on the lowest uncovered class, over each distinct class mask holding it
+    (an item) and that item's Pareto-minimal vertex masks. It drops a branch
+    whose vertex union is larger than the best cover's, and a last pick that
+    leaves a class uncovered. Among covers with the fewest vertices it keeps
+    the lexicographically first sorted list of (item index, vertex-mask index)
+    picks, items ordered by (-popcount, class mask). The signature
+    enumeration and this search each get ``node_budget`` nodes; node
+    ``node_budget + 1`` of either raises ``BudgetExceededError``.
     """
     classes, found = _rainbow_path_signatures(g, coloring, node_budget)
     rp = _min_phases(classes, found)
@@ -247,45 +253,31 @@ def _min_vertex_cover_choice(
         ((c, pareto_min(vs)) for c, vs in by_class_mask.items()),
         key=lambda cv: (-cv[0].bit_count(), cv[0]),
     )
-    suffix_union = [0] * (len(items) + 1)
-    for i in range(len(items) - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | items[i][0]
-
-    best_count: int | None = None
-    best_pick: list[tuple[int, int]] | None = None
-
-    def search(i: int, picked: list[tuple[int, int]], cmask: int, vunion: int) -> None:
-        nonlocal best_count, best_pick
-        if len(picked) == rp:
-            if cmask == full:
-                pc = vunion.bit_count()
-                if best_count is None or pc < best_count:
-                    best_count = pc
-                    best_pick = list(picked)
-            return
-        if i >= len(items) or cmask | suffix_union[i] != full:
-            return
-        c, vmasks = items[i]
-        for v in vmasks:
-            trial = vunion | v
-            if (
-                best_count is not None
-                and trial.bit_count() >= best_count
-                and cmask | c != full
-            ):
-                continue
-            picked.append((c, v))
-            search(i + 1, picked, cmask | c, trial)
-            picked.pop()
-        search(i + 1, picked, cmask, vunion)
-
-    search(0, [], 0, 0)
-    if best_pick is None:
-        raise InvalidParameterError("no rainbow-path cover exists")
-    union = 0
-    for _, vmask in best_pick:
-        union |= vmask
-    return found, best_pick, {v for v in range(g.n) if union >> v & 1}
+    # per class bit, the items holding it, in reverse so that the stack pops the first
+    holders = [[i for i in reversed(range(len(items))) if items[i][0] >> b & 1]
+               for b in range(len(classes))]
+    best: tuple[int, list[tuple[int, int]]] = (g.n + 1, [])  # (vertex count, sorted picks)
+    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
+    nodes = 0
+    while stack:
+        cmask, vunion, picks = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(_EXHAUSTED)
+        if cmask == full:
+            best = min(best, (vunion.bit_count(), sorted(picks)))
+            continue
+        if vunion.bit_count() > best[0]:
+            continue
+        for i in holders[(~cmask & cmask + 1).bit_length() - 1]:
+            c, vmasks = items[i]
+            if len(picks) + 1 == rp and cmask | c != full:
+                continue  # the last pick must complete the cover
+            for j in reversed(range(len(vmasks))):
+                trial = vunion | vmasks[j]
+                if trial.bit_count() <= best[0]:
+                    stack.append((cmask | c, trial, (*picks, (i, j))))
+    return sorted(found[items[i][0], items[i][1][j]] for i, j in best[1])
 
 
 def _cycles(

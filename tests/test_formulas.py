@@ -13,6 +13,7 @@ from racnshare import (
     theorem_lower_bound,
     validate_family,
 )
+from racnshare.protocol import _rainbow_path_signatures
 
 
 SPOT_VALUES = [
@@ -169,6 +170,13 @@ class TestValidateFamily:
         assert row.m_observed is None and row.rp_observed is None
         assert "m/rp search skipped: budget exceeded" in row.gaps
         assert not any(msg.startswith(("m:", "rp:")) for msg in row.mismatches)
+
+    def test_cover_budget_gap_in_the_cover_search(self):
+        g, _, coloring = family_coloring("mycielski", 6)
+        _rainbow_path_signatures(g, coloring, 100_000)  # the enumeration fits, the search not
+        (row,) = validate_family("mycielski", range(6, 7), cover_budget=100_000).rows
+        assert row.m_observed is None and row.rp_observed is None
+        assert "m/rp search skipped: budget exceeded" in row.gaps
 
 
 def test_validation_rows_agree_with_direct_solver():

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from collections import deque
 
 import pytest
@@ -10,11 +11,13 @@ from racnshare import (
     InstanceTooLargeError,
     InvalidConfigError,
     InvalidParameterError,
+    Labeling,
     RacnShareError,
     UnreachableParticipantsError,
     build_graph,
     custom_graph,
     distribute,
+    edge_weights,
     empirical_m,
     empirical_rp,
     enumerate_cycles,
@@ -30,6 +33,8 @@ from racnshare.protocol import (
     CYCLE_BUDGET,
     EMPIRICAL_NODE_BUDGET,
     _cycles,
+    _min_phases,
+    _min_vertex_cover_choice,
     _rainbow_path_signatures,
 )
 
@@ -401,9 +406,127 @@ class TestSignaturesMatchRecursive:
         assert 1 in raised and 199 not in raised
 
 
+def recursive_cover_choice(g, coloring, node_budget):
+    """The recursive include/exclude search the iterative cover search replaced.
+
+    Items (distinct class masks) are taken in (-popcount, class mask) order,
+    each included with one of its Pareto-minimal vertex masks or excluded.
+    Returns the chosen paths, sorted, and their vertex set.
+    """
+    classes, found = _rainbow_path_signatures(g, coloring, node_budget)
+    rp = _min_phases(classes, found)
+    full = (1 << len(classes)) - 1
+
+    by_class_mask = {}
+    for cmask, vmask in found:
+        by_class_mask.setdefault(cmask, []).append(vmask)
+
+    def pareto_min(vmasks):
+        vmasks = sorted(vmasks, key=lambda v: (v.bit_count(), v))
+        keep = []
+        for v in vmasks:
+            if not any(kv & v == kv for kv in keep):
+                keep.append(v)
+        return keep
+
+    items = sorted(
+        ((c, pareto_min(vs)) for c, vs in by_class_mask.items()),
+        key=lambda cv: (-cv[0].bit_count(), cv[0]),
+    )
+    suffix_union = [0] * (len(items) + 1)
+    for i in range(len(items) - 1, -1, -1):
+        suffix_union[i] = suffix_union[i + 1] | items[i][0]
+
+    best_count = None
+    best_pick = None
+
+    def search(i, picked, cmask, vunion):
+        nonlocal best_count, best_pick
+        if len(picked) == rp:
+            if cmask == full:
+                pc = vunion.bit_count()
+                if best_count is None or pc < best_count:
+                    best_count = pc
+                    best_pick = list(picked)
+            return
+        if i >= len(items) or cmask | suffix_union[i] != full:
+            return
+        c, vmasks = items[i]
+        for v in vmasks:
+            trial = vunion | v
+            if (
+                best_count is not None
+                and trial.bit_count() >= best_count
+                and cmask | c != full
+            ):
+                continue
+            picked.append((c, v))
+            search(i + 1, picked, cmask | c, trial)
+            picked.pop()
+        search(i + 1, picked, cmask, vunion)
+
+    search(0, [], 0, 0)
+    union = 0
+    for _, vmask in best_pick:
+        union |= vmask
+    return sorted(found[pair] for pair in best_pick), {v for v in range(g.n) if union >> v & 1}
+
+
+# every cell where the recursive search finishes quickly; mycielski p=6 takes
+# about a minute there
+COVER_CELLS = (
+    [("shadow", p) for p in (*range(2, 9), 10)]
+    + [("splitting", p) for p in range(2, 16)]
+    + [("mycielski", p) for p in range(2, 6)]
+)
+
+
+class TestCoverSearch:
+    @pytest.mark.parametrize("family,p", COVER_CELLS)
+    def test_same_cover_as_recursive(self, family, p):
+        g, _, coloring = family_coloring(family, p)
+        paths = _min_vertex_cover_choice(g, coloring, EMPIRICAL_NODE_BUDGET)
+        want_paths, want_vertices = recursive_cover_choice(g, coloring, EMPIRICAL_NODE_BUDGET)
+        assert paths == want_paths
+        assert set().union(*paths) == want_vertices
+
+    def test_same_cover_on_random_labeled_graphs(self):
+        # equal-vertex covers are common here, so the tie-break between them is exercised
+        rng = random.Random(0)
+        for _ in range(100):
+            n = rng.randint(4, 8)
+            edges = {(rng.randrange(v), v) for v in range(1, n)}  # a random spanning tree
+            for _ in range(rng.randint(0, n)):
+                edges.add(tuple(sorted(rng.sample(range(n), 2))))
+            g = custom_graph(n, sorted(edges))
+            coloring = edge_weights(g, Labeling(tuple(rng.sample(range(1, n + 1), n))))
+            want, _ = recursive_cover_choice(g, coloring, EMPIRICAL_NODE_BUDGET)
+            paths = _min_vertex_cover_choice(g, coloring, EMPIRICAL_NODE_BUDGET)
+            assert paths == want, (n, sorted(edges), coloring.weights)
+
+    # the recursive search ran out of stack on these: one recursion level per class mask
+    @pytest.mark.parametrize("family,p", [("shadow", 9), ("shadow", 11), ("splitting", 16)])
+    def test_former_frontier_cells_take_one_path(self, family, p):
+        g, _, coloring = family_coloring(family, p)
+        classes, found = _rainbow_path_signatures(g, coloring, EMPIRICAL_NODE_BUDGET)
+        full = (1 << len(classes)) - 1
+        fewest = min(vmask.bit_count() for cmask, vmask in found if cmask == full)
+        assert empirical_rp(g, coloring) == 1
+        assert empirical_m(g, coloring) == fewest
+
+    def test_budget_counts_search_nodes(self):
+        # mycielski p=4: the enumeration pushes 358 paths, the search pops 479 nodes
+        g, _, coloring = family_coloring("mycielski", 4)
+        _rainbow_path_signatures(g, coloring, 478)
+        with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
+            empirical_m(g, coloring, node_budget=478)
+        assert empirical_m(g, coloring, node_budget=479) == 8
+
+
 # phase paths recorded before the shared enumerator replaced the recursive
-# searches, on the protocol benchmark's reconstruction instances (the
-# optimal shadow p=9 cell exceeds the recursion limit and is left out)
+# searches, on the protocol benchmark's reconstruction instances; the optimal
+# shadow p=9 cell, past the recursive cover search's stack, was recorded when
+# the iterative cover search replaced it
 FROZEN_PHASES = {
     ("shadow", 24, "greedy"): [
         (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 36, 35, 12, 13, 14, 15, 16, 17, 18, 19, 20,
@@ -417,6 +540,7 @@ FROZEN_PHASES = {
         (14, 28, 15, *range(14), 26), (16, 28, 17), (18, 28, 19), (20, 28, 21),
         (22, 28, 23), (24, 28, 25), (26, 28)],
     ("shadow", 8, "optimal"): [(0, 1, 2, 3, 12, 11, 4, 5, 6, 7)],
+    ("shadow", 9, "optimal"): [(0, 1, 2, 12, 11, 3, 4, 5, 15, 14, 6, 7, 8)],
     ("splitting", 14, "optimal"): [(15, *range(14), 26)],
     ("mycielski", 5, "optimal"): [(5, 10, 6, 0, 1, 2, 3, 4, 8), (6, 0, 1, 2, 3, 4, 8, 10, 7)],
 }
