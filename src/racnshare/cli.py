@@ -24,7 +24,7 @@ from .labelings import (
     family_coloring,
     family_labeling,
 )
-from .rainbow import is_rainbow_connected, racn_exact, racn_upper
+from .rainbow import DEFAULT_MAX_N, is_rainbow_connected, racn_exact, racn_upper
 from .sharing import SecretConfig, Share, reconstruct, split
 
 
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("racn", help="minimum color count (exact or witness bound)")
     _add_instance_args(s)
     s.add_argument("--exact", action="store_true")
-    s.add_argument("--max-n", type=int, default=8)
+    s.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
 
     s = sub.add_parser("formulas", help="closed-form scheme parameters")
     _add_instance_args(s, families=formulas.SCHEME_FAMILIES)
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p-range", required=True, type=_parse_p_range)
     s.add_argument("--strict", action="store_true")
     s.add_argument("--format", choices=("json", "table"), default="table")
-    s.add_argument("--max-n", type=int, default=8)
+    s.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
 
     s = sub.add_parser("split", help="split a secret into shares")
     s.add_argument("--secret")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import _require_p, build_graph, degree_stats
 from .labelings import distinct_weight_count, family_coloring, family_labeling
-from .rainbow import racn_exact
+from .rainbow import DEFAULT_MAX_N, DEFAULT_NODE_BUDGET, racn_exact
 
 SCHEME_FAMILIES = ("shadow", "splitting", "mycielski")
 
@@ -202,8 +202,8 @@ class ValidationReport:
 def validate_family(
     family: str,
     p_range: range,
-    racn_max_n: int = 8,
-    cover_budget: int = 10_000_000,
+    racn_max_n: int = DEFAULT_MAX_N,
+    cover_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ValidationReport:
     """Cross-check every closed form against recomputed ground truth.
 

@@ -26,11 +26,9 @@ from .errors import (
 from .formulas import SCHEME_FAMILIES, scheme_parameters, SchemeParameters
 from .graphs import Graph
 from .labelings import Labeling, WeightedColoring, edge_weights
-from .rainbow import _EXHAUSTED, RainbowPath, _adjacency, _rainbow_paths, max_new_color_path
+from .rainbow import (_EXHAUSTED, DEFAULT_NODE_BUDGET, RainbowPath, _adjacency, _rainbow_paths,
+                      max_new_color_path)
 from .sharing import SecretConfig, Share, reconstruct, split
-
-EMPIRICAL_NODE_BUDGET = 10_000_000
-CYCLE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ def simulate_reconstruction(
     instance: SchemeInstance,
     clamp: bool = False,
     optimal: bool = False,
-    node_budget: int = EMPIRICAL_NODE_BUDGET,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ReconstructionTrace:
     """Collect all weight classes along rainbow paths, then rebuild the secret.
 
@@ -105,9 +103,6 @@ def simulate_reconstruction(
     smallest vertex sequence). ``clamp=True`` caps a phase's haul at k-1
     classes. ``optimal=True`` replaces greedy with the exhaustive
     minimum-phase cover used by ``empirical_rp``/``empirical_m``.
-
-    If the path search exhausts its budget, the raised error carries the
-    phases finished so far in its ``partial_trace`` attribute.
     """
     g = instance.graph
     coloring = instance.coloring
@@ -128,19 +123,13 @@ def simulate_reconstruction(
             path = max(pool, key=lambda p: (len(set(p.weights) - collected), -p.edge_count))
             pool.remove(path)
         else:
-            try:
-                path = max_new_color_path(g, coloring, collected, node_budget, max_gain)
-            except BudgetExceededError as err:
-                err.partial_trace = _finish_trace(instance, chosen, partial=True)
-                raise
+            path = max_new_color_path(g, coloring, collected, node_budget, max_gain)
         chosen.append(path)
         collected |= set(path.weights)
     return _finish_trace(instance, chosen)
 
 
-def _finish_trace(
-    instance: SchemeInstance, paths: list[RainbowPath], partial: bool = False
-) -> ReconstructionTrace:
+def _finish_trace(instance: SchemeInstance, paths: list[RainbowPath]) -> ReconstructionTrace:
     phases = []
     cumulative: list[frozenset[int]] = []
     collected: frozenset[int] = frozenset()
@@ -151,12 +140,10 @@ def _finish_trace(
         phases.append((path, newly))
         cumulative.append(collected)
         used |= set(path.vertices)
-    recovered = b""
-    if not partial:
-        shares = [instance.class_to_share[w] for w in sorted(collected)]
-        recovered = reconstruct(shares, instance.threshold)
-        if recovered != instance.secret:
-            raise RacnShareError("reconstructed secret does not match the original")
+    recovered = reconstruct([instance.class_to_share[w] for w in sorted(collected)],
+                            instance.threshold)
+    if recovered != instance.secret:
+        raise RacnShareError("reconstructed secret does not match the original")
     return ReconstructionTrace(
         phases=tuple(phases),
         collected_after=tuple(cumulative),
@@ -181,8 +168,14 @@ def _rainbow_path_signatures(
     return sorted(coloring.classes), found
 
 
-def _min_phases(classes: list[int], found: dict[tuple[int, int], tuple[int, ...]]) -> int:
-    """Fewest signatures whose class masks jointly cover every class."""
+def _min_phases(
+    classes: list[int], found: dict[tuple[int, int], tuple[int, ...]], node_budget: int
+) -> int:
+    """Fewest signatures whose class masks jointly cover every class.
+
+    A BFS over unions of class masks; new union state ``node_budget + 1``
+    raises ``BudgetExceededError``.
+    """
     full = (1 << len(classes)) - 1
     cmasks = sorted({c for c, _ in found}, key=lambda m: -m.bit_count())
     reached = {0}
@@ -195,6 +188,8 @@ def _min_phases(classes: list[int], found: dict[tuple[int, int], tuple[int, ...]
             for cm in cmasks:
                 u = m | cm
                 if u not in reached:
+                    if len(reached) > node_budget:
+                        raise BudgetExceededError(_EXHAUSTED)
                     reached.add(u)
                     nxt.add(u)
         if not nxt:
@@ -204,14 +199,14 @@ def _min_phases(classes: list[int], found: dict[tuple[int, int], tuple[int, ...]
 
 
 def empirical_rp(
-    g: Graph, coloring: WeightedColoring, node_budget: int = EMPIRICAL_NODE_BUDGET
+    g: Graph, coloring: WeightedColoring, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> int:
     """Minimum number of rainbow paths jointly covering every weight class."""
-    return _min_phases(*_rainbow_path_signatures(g, coloring, node_budget))
+    return _min_phases(*_rainbow_path_signatures(g, coloring, node_budget), node_budget)
 
 
 def empirical_m(
-    g: Graph, coloring: WeightedColoring, node_budget: int = EMPIRICAL_NODE_BUDGET
+    g: Graph, coloring: WeightedColoring, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> int:
     """Fewest distinct vertices over all minimum-phase rainbow-path covers."""
     return len(set().union(*_min_vertex_cover_choice(g, coloring, node_budget)))
@@ -230,11 +225,11 @@ def _min_vertex_cover_choice(
     leaves a class uncovered. Among covers with the fewest vertices it keeps
     the lexicographically first sorted list of (item index, vertex-mask index)
     picks, items ordered by (-popcount, class mask). The signature
-    enumeration and this search each get ``node_budget`` nodes; node
-    ``node_budget + 1`` of either raises ``BudgetExceededError``.
+    enumeration, the ``rp`` search and this search each get ``node_budget``
+    nodes; this one counts the states it pushes, not the root.
     """
     classes, found = _rainbow_path_signatures(g, coloring, node_budget)
-    rp = _min_phases(classes, found)
+    rp = _min_phases(classes, found, node_budget)
     full = (1 << len(classes)) - 1
 
     by_class_mask: dict[int, list[int]] = {}
@@ -261,9 +256,6 @@ def _min_vertex_cover_choice(
     nodes = 0
     while stack:
         cmask, vunion, picks = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(_EXHAUSTED)
         if cmask == full:
             best = min(best, (vunion.bit_count(), sorted(picks)))
             continue
@@ -276,12 +268,15 @@ def _min_vertex_cover_choice(
             for j in reversed(range(len(vmasks))):
                 trial = vunion | vmasks[j]
                 if trial.bit_count() <= best[0]:
+                    nodes += 1
+                    if nodes > node_budget:
+                        raise BudgetExceededError(_EXHAUSTED)
                     stack.append((cmask | c, trial, (*picks, (i, j))))
     return sorted(found[items[i][0], items[i][1][j]] for i, j in best[1])
 
 
 def _cycles(
-    g: Graph, max_len: int | None, chordless: bool, budget: int = CYCLE_BUDGET
+    g: Graph, max_len: int | None, chordless: bool, budget: int = DEFAULT_NODE_BUDGET
 ) -> list[tuple[tuple[int, ...], int]]:
     """Every canonical simple cycle with its vertex bitmask, by (length, sequence).
 
@@ -289,16 +284,21 @@ def _cycles(
     and closes it at a neighbour of s above the second vertex. ``chordless``
     skips a vertex adjacent to the path's interior and stops, after closing,
     at a neighbour of s. A vertex is pushed only if a path that keeps these
-    rules can still lead from it to a closing vertex. Cycle ``budget + 1``
+    rules can still lead from it to a closing vertex. Pushes are counted
+    from every start, the second vertex included; push ``budget + 1``
     raises ``BudgetExceededError``.
     """
     limit = g.n if max_len is None else max_len
     nbrs = [sum(1 << u for u in a) for a in g.adjacency]
     found: list[tuple[tuple[int, ...], int]] = []
+    pushes = 0
     for s in range(g.n if limit >= 3 else 0):
         up = [[u for u in a if u > s] for a in g.adjacency]
         stop = nbrs[s] if chordless else 0  # chordless: a neighbour of s ends the path
         for v1 in up[s]:
+            pushes += 1
+            if pushes > budget:
+                raise BudgetExceededError(_EXHAUSTED)
             closers = nbrs[s] & (-2 << v1)
             path = [s, v1]
             on = 1 << s | 1 << v1
@@ -312,8 +312,6 @@ def _cycles(
                     if (on | near) & bit:
                         continue
                     if closers & bit:
-                        if len(found) == budget:
-                            raise BudgetExceededError(f"more than {budget} cycles enumerated")
                         found.append(((*path, u), on | bit))
                     if stop & bit or len(path) + 1 >= limit:
                         continue
@@ -323,6 +321,9 @@ def _cycles(
                     stack.pop()
                     on ^= 1 << path.pop()
                     continue
+                pushes += 1
+                if pushes > budget:
+                    raise BudgetExceededError(_EXHAUSTED)
                 path.append(u)
                 on |= bit
                 stack.append((iter(up[u]), wall))
@@ -350,14 +351,15 @@ def enumerate_cycles(
     g: Graph,
     anchor: frozenset[int] | set[int],
     max_len: int | None = None,
-    cycle_budget: int = CYCLE_BUDGET,
+    cycle_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[tuple[int, ...]]:
     """All simple cycles through at least one anchor vertex, canonicalized.
 
     Canonical form starts at the cycle's smallest vertex and takes the
     orientation whose second vertex is smaller than its last; results are
     sorted by (length, vertex sequence). An empty anchor yields []. The
-    budget counts every cycle of the graph, anchored or not.
+    budget counts every push of the cycle search over the whole graph,
+    anchored or not.
     """
     if not anchor:
         return []
@@ -407,16 +409,17 @@ def simulate_dissemination(
 ) -> DisseminationTrace:
     """Broadcast from ``informed0`` until everyone is informed.
 
-    Cycles are enumerated once per run, under ``CYCLE_BUDGET``. Each round
-    fires circuits anchored at a vertex informed before the round started;
-    within the round, circuits are chosen greedily by most newly informed
-    vertices (ties: shorter, then lexicographic) until no circuit adds
-    anyone. A round with no useful circuit becomes a fallback round that
-    pushes the payload along BFS shortest paths instead.
+    Cycles are enumerated once per run, by a search of at most
+    ``DEFAULT_NODE_BUDGET`` pushes. Each round fires circuits anchored at a
+    vertex informed before the round started; within the round, circuits
+    are chosen greedily by most newly informed vertices (ties: shorter, then
+    lexicographic) until no circuit adds anyone. A round with no useful
+    circuit becomes a fallback round that pushes the payload along BFS
+    shortest paths instead.
 
     ``cycle_policy`` is "chordless" (default: only induced cycles carry,
-    and only they count against the budget) or "all" (any simple cycle
-    may fire).
+    and the search pushes no vertex that would give the path a chord) or
+    "all" (any simple cycle may fire).
     """
     if not informed0:
         raise InvalidParameterError("informed0 must be nonempty")

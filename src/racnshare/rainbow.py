@@ -9,16 +9,21 @@ exactly by ``racn_exact`` for small graphs.
 One iterative enumerator, ``_rainbow_paths``, serves all four callers: a
 lexicographic DFS over an adjacency built once per coloring, with used
 vertices and classes kept as int bitmasks, yielding every rainbow path as
-it is pushed. It carries the only node budget. ``exists_rainbow_path``,
-``is_rainbow_connected`` and the leaf test of ``racn_exact`` stop once
-every target is reached: the path on the stack at the first arrival at v
-is the path a DFS aimed at v would return, so n single-source searches
-replace n(n-1)/2 pair searches. ``max_new_color_path`` and the cover
-search in ``protocol`` read every path.
+it is pushed. ``exists_rainbow_path``, ``is_rainbow_connected`` and the
+leaf test of ``racn_exact`` stop once every target is reached: the path on
+the stack at the first arrival at v is the path a DFS aimed at v would
+return, so n single-source searches replace n(n-1)/2 pair searches.
+``max_new_color_path`` and the cover search in ``protocol`` read every
+path.
 
 All searches are deterministic: neighbors are visited in ascending index
 order and ties are broken lexicographically on the vertex sequence, so
 repeated runs yield identical witnesses.
+
+Every budgeted search, here and in ``protocol``, keeps one rule: it counts
+the nodes it pushes, never its root, and node ``budget + 1`` raises
+``BudgetExceededError(_EXHAUSTED)``. ``DEFAULT_NODE_BUDGET`` is each
+search's default budget.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from .errors import (
 from .graphs import Graph, degree_stats, diameter
 from .labelings import Labeling, WeightedColoring, distinct_weight_count, edge_weights
 
-DEFAULT_NODE_BUDGET = 1_000_000
+DEFAULT_NODE_BUDGET = 10_000_000
+DEFAULT_MAX_N = 8  # racn_exact's size cap
 _EXHAUSTED = "path-search node budget exhausted"
 
 
@@ -270,27 +276,14 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
 
 
 def vertex_orbits(g: Graph) -> list[int]:
-    """orbit representative (smallest member) for each vertex."""
-    rep = list(range(g.n))
+    """Orbit representative (smallest member) for each vertex.
 
-    def find(a: int) -> int:
-        while rep[a] != a:
-            rep[a] = rep[rep[a]]
-            a = rep[a]
-        return a
-
-    for sigma in automorphisms(g):
-        for v, tv in enumerate(sigma):
-            ra, rb = find(v), find(tv)
-            if ra != rb:
-                if ra < rb:
-                    rep[rb] = ra
-                else:
-                    rep[ra] = rb
-    return [find(v) for v in range(g.n)]
+    The automorphisms form a group, so the orbit of v is its set of images.
+    """
+    return [min(images) for images in zip(*automorphisms(g))]
 
 
-def racn_exact(g: Graph, max_n: int = 8) -> RacnCertificate:
+def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
     """Exact minimum color count over rainbow-connected bijective labelings.
 
     Iterative deepening: for t from max(diameter, max degree) upward,

@@ -30,13 +30,12 @@ from racnshare import (
     simulate_reconstruction,
 )
 from racnshare.protocol import (
-    CYCLE_BUDGET,
-    EMPIRICAL_NODE_BUDGET,
     _cycles,
     _min_phases,
     _min_vertex_cover_choice,
     _rainbow_path_signatures,
 )
+from racnshare.rainbow import DEFAULT_NODE_BUDGET
 
 
 def deal(family, p, secret=b"vault-key", seed=0):
@@ -146,13 +145,10 @@ class TestReconstruction:
         assert trace.phase_count == empirical_rp(inst.graph, inst.coloring)
         assert trace.recovered == inst.secret
 
-    def test_budget_error_carries_partial_trace(self):
+    def test_budget_exhaustion_raises(self):
         inst = deal("shadow", 4)
-        with pytest.raises(BudgetExceededError) as exc:
+        with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
             simulate_reconstruction(inst, node_budget=1)
-        partial = exc.value.partial_trace
-        assert partial.phases == ()
-        assert partial.recovered == b""
 
     def test_tampered_instance_is_caught(self):
         inst = deal("shadow", 2)
@@ -188,6 +184,18 @@ def test_empirical_search_budget():
     g, _, coloring = family_coloring("shadow", 6)
     with pytest.raises(BudgetExceededError):
         empirical_rp(g, coloring, node_budget=50)
+
+
+def test_rp_search_is_budgeted():
+    # mycielski p=6: the enumeration pushes 1,556 paths, the rp search reaches
+    # 3,795 union states besides the empty one
+    g, _, coloring = family_coloring("mycielski", 6)
+    classes, found = _rainbow_path_signatures(g, coloring, 2000)
+    with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
+        empirical_rp(g, coloring, node_budget=2000)
+    with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
+        _min_phases(classes, found, 3794)
+    assert _min_phases(classes, found, 3795) == 3
 
 
 class TestCycles:
@@ -385,8 +393,8 @@ class TestSignaturesMatchRecursive:
     @pytest.mark.parametrize("family,p", SIGNATURE_CELLS)
     def test_same_map_in_same_order(self, family, p):
         g, _, coloring = family_coloring(family, p)
-        classes, found = _rainbow_path_signatures(g, coloring, EMPIRICAL_NODE_BUDGET)
-        want_classes, want = recursive_signatures(g, coloring, EMPIRICAL_NODE_BUDGET)
+        classes, found = _rainbow_path_signatures(g, coloring, DEFAULT_NODE_BUDGET)
+        want_classes, want = recursive_signatures(g, coloring, DEFAULT_NODE_BUDGET)
         assert classes == want_classes
         assert list(found.items()) == list(want.items())
 
@@ -414,7 +422,7 @@ def recursive_cover_choice(g, coloring, node_budget):
     Returns the chosen paths, sorted, and their vertex set.
     """
     classes, found = _rainbow_path_signatures(g, coloring, node_budget)
-    rp = _min_phases(classes, found)
+    rp = _min_phases(classes, found, node_budget)
     full = (1 << len(classes)) - 1
 
     by_class_mask = {}
@@ -485,8 +493,8 @@ class TestCoverSearch:
     @pytest.mark.parametrize("family,p", COVER_CELLS)
     def test_same_cover_as_recursive(self, family, p):
         g, _, coloring = family_coloring(family, p)
-        paths = _min_vertex_cover_choice(g, coloring, EMPIRICAL_NODE_BUDGET)
-        want_paths, want_vertices = recursive_cover_choice(g, coloring, EMPIRICAL_NODE_BUDGET)
+        paths = _min_vertex_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
+        want_paths, want_vertices = recursive_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
         assert paths == want_paths
         assert set().union(*paths) == want_vertices
 
@@ -500,27 +508,28 @@ class TestCoverSearch:
                 edges.add(tuple(sorted(rng.sample(range(n), 2))))
             g = custom_graph(n, sorted(edges))
             coloring = edge_weights(g, Labeling(tuple(rng.sample(range(1, n + 1), n))))
-            want, _ = recursive_cover_choice(g, coloring, EMPIRICAL_NODE_BUDGET)
-            paths = _min_vertex_cover_choice(g, coloring, EMPIRICAL_NODE_BUDGET)
+            want, _ = recursive_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
+            paths = _min_vertex_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
             assert paths == want, (n, sorted(edges), coloring.weights)
 
     # the recursive search ran out of stack on these: one recursion level per class mask
     @pytest.mark.parametrize("family,p", [("shadow", 9), ("shadow", 11), ("splitting", 16)])
     def test_former_frontier_cells_take_one_path(self, family, p):
         g, _, coloring = family_coloring(family, p)
-        classes, found = _rainbow_path_signatures(g, coloring, EMPIRICAL_NODE_BUDGET)
+        classes, found = _rainbow_path_signatures(g, coloring, DEFAULT_NODE_BUDGET)
         full = (1 << len(classes)) - 1
         fewest = min(vmask.bit_count() for cmask, vmask in found if cmask == full)
         assert empirical_rp(g, coloring) == 1
         assert empirical_m(g, coloring) == fewest
 
     def test_budget_counts_search_nodes(self):
-        # mycielski p=4: the enumeration pushes 358 paths, the search pops 479 nodes
+        # mycielski p=4: the enumeration pushes 358 paths, the rp search reaches
+        # 239 union states and the cover search pushes 478 nodes
         g, _, coloring = family_coloring("mycielski", 4)
-        _rainbow_path_signatures(g, coloring, 478)
+        _rainbow_path_signatures(g, coloring, 477)
         with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-            empirical_m(g, coloring, node_budget=478)
-        assert empirical_m(g, coloring, node_budget=479) == 8
+            empirical_m(g, coloring, node_budget=477)
+        assert empirical_m(g, coloring, node_budget=478) == 8
 
 
 # phase paths recorded before the shared enumerator replaced the recursive
@@ -554,23 +563,18 @@ def test_frozen_phase_paths(family, p, mode):
     assert trace.recovered == inst.secret
 
 
-def recursive_enumerate_cycles(g, anchor, max_len=None, cycle_budget=CYCLE_BUDGET):
+def recursive_enumerate_cycles(g, anchor, max_len=None):
     """The recursive ``enumerate_cycles`` that the one cycle DFS replaced."""
     if not anchor:
         return []
     limit = g.n if max_len is None else max_len
     out = set()
-    count = 0
 
     def grow(start, path, on_path):
-        nonlocal count
         v = path[-1]
         for u in g.adjacency[v]:
             if u == start and len(path) >= 3:
                 if path[1] < path[-1]:
-                    count += 1
-                    if count > cycle_budget:
-                        raise BudgetExceededError(f"more than {cycle_budget} cycles enumerated")
                     out.add(tuple(path))
             elif u > start and u not in on_path and len(path) < limit:
                 path.append(u)
@@ -668,22 +672,24 @@ class TestCyclesMatchPerRound:
                 assert enumerate_cycles(g, anchor, max_len) == recursive_enumerate_cycles(
                     g, anchor, max_len)
 
-    @pytest.mark.parametrize("g", [fixture_graph(), build_graph("shadow", 4),
-                                   build_graph("mycielski", 3)], ids=["fig1", "shadow4", "myc3"])
-    def test_budget_raises_agree(self, g):
+    # the pushes of one cycle search under each policy: (all, chordless)
+    @pytest.mark.parametrize("g,pushes", [(fixture_graph(), (34, 19)),
+                                          (build_graph("shadow", 4), (36, 21)),
+                                          (build_graph("mycielski", 3), (17, 17))],
+                             ids=["fig1", "shadow4", "myc3"])
+    def test_budget_raises_agree(self, g, pushes):
         everyone = frozenset(range(g.n))
-        chordless = [c for c in recursive_enumerate_cycles(g, everyone) if is_chordless(g, c)]
+        want = recursive_enumerate_cycles(g, everyone)
+        chordless = [c for c in want if is_chordless(g, c)]
         for budget in range(1, 51):
-            try:
-                want = recursive_enumerate_cycles(g, everyone, cycle_budget=budget)
-            except BudgetExceededError as err:
-                with pytest.raises(BudgetExceededError, match=str(err)):
+            if budget < pushes[0]:
+                with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
                     enumerate_cycles(g, everyone, cycle_budget=budget)
             else:
                 assert enumerate_cycles(g, everyone, cycle_budget=budget) == want
-            # a chordless run charges only the chordless cycles it emits
-            if budget < len(chordless):
-                with pytest.raises(BudgetExceededError):
+            # a chordless run pushes no vertex that would give its path a chord
+            if budget < pushes[1]:
+                with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
                     _cycles(g, None, True, budget)
             else:
                 assert [c for c, _ in _cycles(g, None, True, budget)] == chordless

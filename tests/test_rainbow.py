@@ -200,24 +200,23 @@ class TestMaxNewColorPath:
         assert len(set(p.weights)) == 3
 
 
+BRUTE_CELLS = [("path", 4), ("path", 5), ("shadow", 2), ("splitting", 2), ("splitting", 3),
+               ("mycielski", 2)]
+
+
+def brute_automorphisms(g):
+    """Every vertex permutation that preserves adjacency, by trying all n! of them."""
+    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    return {perm for perm in itertools.permutations(range(g.n))
+            if all((perm[u] in adj[perm[v]]) == (u in adj[v])
+                   for u in range(g.n) for v in range(g.n) if u != v)}
+
+
 class TestAutomorphisms:
-    @pytest.mark.parametrize(
-        "family,p",
-        [("path", 4), ("path", 5), ("shadow", 2), ("splitting", 2), ("splitting", 3), ("mycielski", 2)],
-    )
+    @pytest.mark.parametrize("family,p", BRUTE_CELLS)
     def test_against_brute_force(self, family, p):
         g = build_graph(family, p)
-        adj = {v: set(g.adjacency[v]) for v in range(g.n)}
-        brute = set()
-        for perm in itertools.permutations(range(g.n)):
-            if all(
-                (perm[u] in adj[perm[v]]) == (u in adj[v])
-                for u in range(g.n)
-                for v in range(g.n)
-                if u != v
-            ):
-                brute.add(perm)
-        assert set(automorphisms(g)) == brute
+        assert set(automorphisms(g)) == brute_automorphisms(g)
 
     def test_path_group_order(self):
         assert len(automorphisms(path_graph(6))) == 2  # identity + reversal
@@ -229,6 +228,10 @@ class TestAutomorphisms:
             for v, r in enumerate(reps):
                 assert r <= v
                 assert reps[r] == r
+        for family, p in BRUTE_CELLS:
+            g = build_graph(family, p)
+            brute = brute_automorphisms(g)
+            assert vertex_orbits(g) == [min(s[v] for s in brute) for v in range(g.n)]
 
 
 def pair_dfs_path(g, w, u, v, node_budget):
