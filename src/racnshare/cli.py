@@ -117,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--secret", default="secret")
     s.add_argument("--secret-hex")
     s.add_argument("--seed", type=int, help="omit for private coefficients")
-    s.add_argument("--clamp", action="store_true")
-    s.add_argument("--optimal", action="store_true")
+    policy = s.add_mutually_exclusive_group()
+    policy.add_argument("--clamp", action="store_true")
+    policy.add_argument("--optimal", action="store_true")
 
     s = sub.add_parser(
         "simulate-dissemination", help="round-by-round broadcast on a graph"
@@ -343,10 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InstanceTooLargeError, BudgetExceededError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except RacnShareError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (RacnShareError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:

@@ -92,17 +92,21 @@ class Graph:
             raise InvalidParameterError(f"no vertex named {name!r}") from None
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for u in self.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == self.n
+        return len(bfs_parents(self, (0,))) == self.n
+
+
+def bfs_parents(g: Graph, sources) -> dict[int, int | None]:
+    """Each vertex reachable from ``sources``, in discovery order, mapped to
+    the vertex it was first reached from (None for a source). O(n + m)."""
+    parent: dict[int, int | None] = dict.fromkeys(sources)
+    queue = deque(parent)
+    while queue:
+        v = queue.popleft()
+        for u in g.adjacency[v]:
+            if u not in parent:
+                parent[u] = v
+                queue.append(u)
+    return parent
 
 
 def _family_names_roles(p: int, with_apex: bool) -> tuple[tuple[str, ...], tuple[Role, ...]]:
@@ -207,13 +211,9 @@ def diameter(g: Graph) -> int:
         raise NotConnectedError("diameter is undefined for disconnected graphs")
     best = 0
     for s in range(g.n):
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.adjacency[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        best = max(best, max(dist.values()))
+        parent = bfs_parents(g, (s,))
+        v, depth = next(reversed(parent)), 0  # the last vertex found is a farthest one
+        while parent[v] is not None:
+            v, depth = parent[v], depth + 1
+        best = max(best, depth)
     return best

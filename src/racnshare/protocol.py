@@ -13,7 +13,6 @@ Everything here is deterministic; repeated runs produce identical traces.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     UnreachableParticipantsError,
 )
 from .formulas import SCHEME_FAMILIES, scheme_parameters, SchemeParameters
-from .graphs import Graph
+from .graphs import Graph, bfs_parents
 from .labelings import Labeling, WeightedColoring, edge_weights
 from .rainbow import (_EXHAUSTED, DEFAULT_NODE_BUDGET, RainbowPath, _adjacency, _rainbow_paths,
                       max_new_color_path)
@@ -102,8 +101,11 @@ def simulate_reconstruction(
     not-yet-collected classes (ties: fewer edges, then lexicographically
     smallest vertex sequence). ``clamp=True`` caps a phase's haul at k-1
     classes. ``optimal=True`` replaces greedy with the exhaustive
-    minimum-phase cover used by ``empirical_rp``/``empirical_m``.
+    minimum-phase cover used by ``empirical_rp``/``empirical_m``; it cannot
+    honour the cap, so setting both raises ``InvalidParameterError``.
     """
+    if clamp and optimal:
+        raise InvalidParameterError("clamp and optimal are mutually exclusive")
     g = instance.graph
     coloring = instance.coloring
     all_classes = frozenset(coloring.classes)
@@ -116,30 +118,21 @@ def simulate_reconstruction(
         pool = [RainbowPath(vs, tuple(coloring.weight(a, b) for a, b in zip(vs, vs[1:])))
                 for vs in _min_vertex_cover_choice(g, coloring, node_budget)]
     max_gain = max(1, k - 1) if clamp else None
-    chosen: list[RainbowPath] = []
+    phases: list[tuple[RainbowPath, frozenset[int]]] = []
+    cumulative: list[frozenset[int]] = []
     collected: frozenset[int] = frozenset()
+    used: set[int] = set()
     while collected != all_classes:
         if pool is not None:
             path = max(pool, key=lambda p: (len(set(p.weights) - collected), -p.edge_count))
             pool.remove(path)
         else:
             path = max_new_color_path(g, coloring, collected, node_budget, max_gain)
-        chosen.append(path)
-        collected |= set(path.weights)
-    return _finish_trace(instance, chosen)
-
-
-def _finish_trace(instance: SchemeInstance, paths: list[RainbowPath]) -> ReconstructionTrace:
-    phases = []
-    cumulative: list[frozenset[int]] = []
-    collected: frozenset[int] = frozenset()
-    used: set[int] = set()
-    for path in paths:
         newly = frozenset(path.weights) - collected
-        collected = collected | newly
+        collected |= newly
         phases.append((path, newly))
         cumulative.append(collected)
-        used |= set(path.vertices)
+        used.update(path.vertices)
     recovered = reconstruct([instance.class_to_share[w] for w in sorted(collected)],
                             instance.threshold)
     if recovered != instance.secret:
@@ -173,29 +166,34 @@ def _min_phases(
 ) -> int:
     """Fewest signatures whose class masks jointly cover every class.
 
-    A BFS over unions of class masks; new union state ``node_budget + 1``
-    raises ``BudgetExceededError``.
+    A BFS over unions of the maximal class masks: a cover stays a cover when
+    each of its masks grows to a maximal superset, so the others cannot
+    lower the count. Union ``node_budget + 1`` it forms raises
+    ``BudgetExceededError``.
     """
     full = (1 << len(classes)) - 1
-    cmasks = sorted({c for c, _ in found}, key=lambda m: -m.bit_count())
+    maximal: list[int] = []
+    for cm in sorted({c for c, _ in found}, key=lambda m: (-m.bit_count(), m)):
+        if not any(big & cm == cm for big in maximal):
+            maximal.append(cm)
     reached = {0}
-    frontier = {0}
-    depth = 0
-    while full not in reached:
-        depth += 1
-        nxt = set()
+    frontier = [0]
+    unions = 0
+    for depth in range(len(classes) + 1):
+        if full in reached:
+            return depth
+        nxt = []
         for m in frontier:
-            for cm in cmasks:
+            for cm in maximal:
+                unions += 1
+                if unions > node_budget:
+                    raise BudgetExceededError(_EXHAUSTED)
                 u = m | cm
                 if u not in reached:
-                    if len(reached) > node_budget:
-                        raise BudgetExceededError(_EXHAUSTED)
                     reached.add(u)
-                    nxt.add(u)
-        if not nxt:
-            raise InvalidParameterError("no rainbow-path cover exists")
+                    nxt.append(u)
         frontier = nxt
-    return depth
+    raise InvalidParameterError("no rainbow-path cover exists")
 
 
 def empirical_rp(
@@ -430,7 +428,7 @@ def simulate_dissemination(
         raise InvalidParameterError(
             f"cycle_policy must be 'chordless' or 'all', got {cycle_policy!r}"
         )
-    unreachable = set(range(g.n)) - set(informed0) - _fallback_paths(g, informed0)[1]
+    unreachable = set(range(g.n)) - bfs_parents(g, informed0).keys()
     if unreachable:
         raise UnreachableParticipantsError(tuple(sorted(unreachable)))
 
@@ -476,15 +474,13 @@ def _fallback_paths(
     A path to a reached vertex's BFS parent is dropped: it is a prefix of a
     longer delivered path, which hands the payload to every vertex on it.
     """
-    route = {v: (v,) for v in informed}
-    dq = deque(sorted(informed))
-    order: list[int] = []
-    while dq:
-        v = dq.popleft()
-        for u in g.adjacency[v]:
-            if u not in route:
-                route[u] = route[v] + (u,)
-                dq.append(u)
-                order.append(u)
-    relays = {route[u][-2] for u in order}
-    return [route[t] for t in order if t not in relays], set(order)
+    parent = bfs_parents(g, sorted(informed))
+    relays = set(parent.values())
+    paths = []
+    for t, v in parent.items():
+        if v is not None and t not in relays:
+            route = [t]
+            while parent[route[-1]] is not None:
+                route.append(parent[route[-1]])
+            paths.append(tuple(reversed(route)))
+    return paths, parent.keys() - informed

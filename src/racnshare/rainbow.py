@@ -245,33 +245,31 @@ def max_new_color_path(
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex permutations (degree-pruned search)."""
-    degs = [g.degree(v) for v in range(g.n)]
-    adj = [set(g.adjacency[v]) for v in range(g.n)]
+    """All adjacency-preserving vertex permutations, in lexicographic order.
+
+    Vertex v may map to a free vertex of its degree that is adjacent to the
+    images of v's lower neighbours and to no other image placed so far.
+    """
+    nbrs = [sum(1 << u for u in a) for a in g.adjacency]
+    same_degree = [[t for t in range(g.n) if len(g.adjacency[t]) == len(a)] for a in g.adjacency]
+    lower = [[u for u in a if u < v] for v, a in enumerate(g.adjacency)]
     out: list[tuple[int, ...]] = []
-    image = [-1] * g.n
-    taken = [False] * g.n
-
-    def extend(v: int) -> None:
-        if v == g.n:
-            out.append(tuple(image))
-            return
-        for t in range(g.n):
-            if taken[t] or degs[t] != degs[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (u in adj[v]) != (image[u] in adj[t]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = t
-                taken[t] = True
-                extend(v + 1)
-                taken[t] = False
-                image[v] = -1
-
-    extend(0)
+    # frame: the untried images of vertex v, the images of 0..v-1, and their bitmask
+    stack = [(iter(same_degree[0]), (), 0)]
+    while stack:
+        cands, image, placed = stack[-1]
+        v = len(image)
+        want = sum(1 << image[u] for u in lower[v])
+        for t in cands:
+            if not placed >> t & 1 and nbrs[t] & placed == want:
+                break
+        else:
+            stack.pop()
+            continue
+        if v + 1 == g.n:
+            out.append((*image, t))
+        else:
+            stack.append((iter(same_degree[v + 1]), (*image, t), placed | 1 << t))
     return out
 
 
@@ -302,12 +300,10 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
     if not g.is_connected():
         raise NotConnectedError("graph is not connected")
 
-    orbit_rep = vertex_orbits(g)
     n = g.n
     lower = [[u for u in g.adjacency[v] if u < v] for v in range(n)]
+    choices = [range(1 if rep == v else 2, n + 1) for v, rep in enumerate(vertex_orbits(g))]
     labels = [0] * n
-    free = [True] * (n + 1)
-    weight_count = [0] * (2 * n + 1)
     examined = 0
 
     def rainbow_connected() -> bool:
@@ -315,34 +311,29 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
                for a, nbrs in enumerate(g.adjacency)]
         return not any(_first_arrivals(adj, u, (1 << n) - (2 << u)) for u in range(n - 1))
 
-    def assign(v: int, distinct: int, bound: int) -> int | None:
-        nonlocal examined
-        if v == n:
-            examined += 1
-            return distinct if rainbow_connected() else None
-        for lab in range(1, n + 1):
-            if not free[lab] or (lab == 1 and orbit_rep[v] != v):
-                continue
-            d = distinct
-            for u in lower[v]:
-                wt = labels[u] + lab
-                weight_count[wt] += 1
-                if weight_count[wt] == 1:
-                    d += 1
-            if d <= bound:
-                labels[v] = lab
-                free[lab] = False
-                if (found := assign(v + 1, d, bound)) is not None:
-                    return found
-                free[lab] = True
-            for u in lower[v]:
-                weight_count[labels[u] + lab] -= 1
-        return None
-
     for bound in range(max(diameter(g), degree_stats(g)[1]), len(g.edges) + 1):
-        value = assign(0, 0, bound)
-        if value is not None:
-            return RacnCertificate(value, Labeling(tuple(labels)), True, examined)
+        # frame v: vertex v's untried labels, and the weights and labels of vertices 0..v-1
+        stack = [(iter(choices[0]), 0, 0)]
+        while stack:
+            v = len(stack) - 1
+            labs, weights, taken = stack[-1]
+            for lab in labs:
+                if not taken >> lab & 1:
+                    w = weights
+                    for u in lower[v]:
+                        w |= 1 << (labels[u] + lab)
+                    if w.bit_count() <= bound:
+                        break
+            else:
+                stack.pop()
+                continue
+            labels[v] = lab
+            if v + 1 < n:
+                stack.append((iter(choices[v + 1]), w, taken | 1 << lab))
+                continue
+            examined += 1
+            if rainbow_connected():
+                return RacnCertificate(w.bit_count(), Labeling(tuple(labels)), True, examined)
     # every connected graph admits a rainbow-connected labeling (e.g. one
     # making all weights distinct), so this is unreachable for valid input
     raise InvalidParameterError("no rainbow-connected labeling found")

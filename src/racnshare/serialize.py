@@ -32,6 +32,14 @@ def to_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _field(d, key: str):
+    """``d[key]``; InvalidParameterError when ``d`` is not a JSON object holding ``key``."""
+    try:
+        return d[key]
+    except (KeyError, TypeError):
+        raise InvalidParameterError(f"expected a JSON object with {key!r}, got {d!r}") from None
+
+
 # -- graphs -----------------------------------------------------------------
 
 def graph_to_dict(g: Graph) -> dict:
@@ -49,16 +57,16 @@ def graph_from_dict(d: dict) -> Graph:
     p = d.get("p")
     if family in FAMILIES and p is not None:
         g = build_graph(family, p)
-        file_edges = sorted(tuple(sorted(e)) for e in d["edges"])
+        file_edges = sorted(tuple(sorted(e)) for e in _field(d, "edges"))
         if d.get("n", g.n) != g.n or file_edges != sorted(g.edges):
             raise InvalidParameterError(
                 f"stored edges do not match the {family} construction at p={p}"
             )
         return g
-    n = d["n"]
+    n = _field(d, "n")
     roles = d.get("roles") or {}
     names = [roles.get(str(v), str(v + 1)) for v in range(n)]
-    return custom_graph(n, [tuple(e) for e in d["edges"]], names=names, family=family)
+    return custom_graph(n, [tuple(e) for e in _field(d, "edges")], names=names, family=family)
 
 
 # -- labelings and colorings -------------------------------------------------
@@ -108,7 +116,7 @@ def share_to_dict(s: Share) -> dict:
 
 
 def share_from_dict(d: dict) -> Share:
-    return Share(index=d["index"], payload=bytes.fromhex(d["payload_hex"]))
+    return Share(index=_field(d, "index"), payload=bytes.fromhex(_field(d, "payload_hex")))
 
 
 # -- traces -------------------------------------------------------------------

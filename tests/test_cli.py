@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -79,6 +80,21 @@ class TestVerifyAndRacn:
     def test_racn_exact_raised_cap(self, capsys):
         d = run_json(capsys, "racn", "--family", "mycielski", "--p", "4", "--exact", "--max-n", "9")
         assert d["value"] == 5
+
+    def test_racn_exact_on_a_path_longer_than_the_recursion_limit(self, capsys):
+        # no search recurses, so the stack stays shallow however many vertices there are
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            code, out, err = run(capsys, "racn", "--exact", "--family", "path",
+                                 "--p", str(depth + 150), "--max-n", "500")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0, err
+        assert json.loads(out)["value"] == depth + 149
 
 
 class TestFormulasValidate:
@@ -175,6 +191,15 @@ class TestShares:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("content", [[{"index": 1}], [1]])
+    def test_malformed_shares_file_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "shares.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, "reconstruct", "--shares-file", str(path), "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expected a JSON object with ")
+
     def test_too_few_shares_exits_2(self, capsys):
         shares = run_json(capsys, "split", "--secret", "s", "--k", "3", "--shares", "4")
         d = f"{shares[0]['index']}:{shares[0]['payload_hex']}"
@@ -201,6 +226,13 @@ class TestSimulations:
         )
         assert d["phase_count"] == 1
         assert d["recovered_hex"] == "00ff"
+
+    def test_clamp_and_optimal_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate-reconstruction", "--family", "shadow", "--p", "8",
+                  "--clamp", "--optimal"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_dissemination_fixture(self, capsys):
         d = run_json(
@@ -234,6 +266,15 @@ class TestSimulations:
         code, _, err = run(capsys, "simulate-dissemination", "--informed", "1")
         assert code == 2
         assert "--fixture" in err
+
+    def test_dissemination_malformed_fixture_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text("{}")
+        code, out, err = run(capsys, "simulate-dissemination", "--fixture", str(path),
+                             "--informed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: expected a JSON object with 'n', got {}\n"
 
     def test_dissemination_unknown_name_exits_2(self, capsys):
         code, _, err = run(

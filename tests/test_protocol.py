@@ -134,6 +134,11 @@ class TestReconstruction:
         assert gains == [4, 1]
         assert trace.recovered == inst.secret
 
+    def test_clamp_and_optimal_exclude_each_other(self):
+        # the optimal cover ignores the k-1 cap: on shadow p=8 it takes all 9 classes at once
+        with pytest.raises(InvalidParameterError, match="mutually exclusive"):
+            simulate_reconstruction(deal("shadow", 8), clamp=True, optimal=True)
+
     @pytest.mark.parametrize(
         "family,p,rp",
         [("shadow", 4, 1), ("splitting", 3, 2), ("mycielski", 3, 2)],
@@ -187,15 +192,16 @@ def test_empirical_search_budget():
 
 
 def test_rp_search_is_budgeted():
-    # mycielski p=6: the enumeration pushes 1,556 paths, the rp search reaches
-    # 3,795 union states besides the empty one
-    g, _, coloring = family_coloring("mycielski", 6)
-    classes, found = _rainbow_path_signatures(g, coloring, 2000)
+    # mycielski p=7: the enumeration pushes 2,742 paths; the rp search forms
+    # 4,690 unions of the 35 maximal class masks (out of 997) before it
+    # reaches depth 3
+    g, _, coloring = family_coloring("mycielski", 7)
+    classes, found = _rainbow_path_signatures(g, coloring, 3000)
     with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-        empirical_rp(g, coloring, node_budget=2000)
+        empirical_rp(g, coloring, node_budget=3000)
     with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-        _min_phases(classes, found, 3794)
-    assert _min_phases(classes, found, 3795) == 3
+        _min_phases(classes, found, 4689)
+    assert _min_phases(classes, found, 4690) == 3
 
 
 class TestCycles:
@@ -414,6 +420,19 @@ class TestSignaturesMatchRecursive:
         assert 1 in raised and 199 not in raised
 
 
+def all_masks_min_phases(classes, found):
+    """The rp BFS as it was: over unions of every class mask, not only the maximal ones."""
+    full = (1 << len(classes)) - 1
+    cmasks = {c for c, _ in found}
+    reached = frontier = {0}
+    depth = 0
+    while full not in reached:
+        depth += 1
+        frontier = {m | c for m in frontier for c in cmasks} - reached
+        reached = reached | frontier
+    return depth
+
+
 def recursive_cover_choice(g, coloring, node_budget):
     """The recursive include/exclude search the iterative cover search replaced.
 
@@ -422,7 +441,7 @@ def recursive_cover_choice(g, coloring, node_budget):
     Returns the chosen paths, sorted, and their vertex set.
     """
     classes, found = _rainbow_path_signatures(g, coloring, node_budget)
-    rp = _min_phases(classes, found, node_budget)
+    rp = all_masks_min_phases(classes, found)
     full = (1 << len(classes)) - 1
 
     by_class_mask = {}
@@ -495,6 +514,7 @@ class TestCoverSearch:
         g, _, coloring = family_coloring(family, p)
         paths = _min_vertex_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
         want_paths, want_vertices = recursive_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
+        assert empirical_rp(g, coloring) == len(want_paths)
         assert paths == want_paths
         assert set().union(*paths) == want_vertices
 
@@ -510,6 +530,7 @@ class TestCoverSearch:
             coloring = edge_weights(g, Labeling(tuple(rng.sample(range(1, n + 1), n))))
             want, _ = recursive_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
             paths = _min_vertex_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
+            assert empirical_rp(g, coloring) == len(want), (n, sorted(edges), coloring.weights)
             assert paths == want, (n, sorted(edges), coloring.weights)
 
     # the recursive search ran out of stack on these: one recursion level per class mask
@@ -523,8 +544,8 @@ class TestCoverSearch:
         assert empirical_m(g, coloring) == fewest
 
     def test_budget_counts_search_nodes(self):
-        # mycielski p=4: the enumeration pushes 358 paths, the rp search reaches
-        # 239 union states and the cover search pushes 478 nodes
+        # mycielski p=4: the enumeration pushes 358 paths, the rp search forms
+        # 56 unions and the cover search pushes 478 nodes
         g, _, coloring = family_coloring("mycielski", 4)
         _rainbow_path_signatures(g, coloring, 477)
         with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
