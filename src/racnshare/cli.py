@@ -15,6 +15,7 @@ from . import formulas, protocol, serialize
 from .errors import (
     BudgetExceededError,
     InstanceTooLargeError,
+    InvalidParameterError,
     RacnShareError,
 )
 from .graphs import FAMILIES, build_graph, degree_stats, diameter
@@ -264,7 +265,10 @@ def _cmd_reconstruct(args) -> int:
     shares: list[Share] = []
     if args.shares_file:
         with open(args.shares_file, encoding="utf-8") as fh:
-            shares.extend(serialize.share_from_dict(d) for d in json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, list):
+            raise InvalidParameterError(f"expected a JSON list of shares, got {loaded!r}")
+        shares.extend(serialize.share_from_dict(d) for d in loaded)
     for text in args.share:
         idx, sep, hexpart = text.partition(":")
         if not sep:

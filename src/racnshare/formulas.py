@@ -96,11 +96,10 @@ class SchemeParameters:
 
 def scheme_parameters(family: str, p: int) -> SchemeParameters:
     _check(family, p)
-    n = 2 * p + 1 if family == "mycielski" else 2 * p
     return SchemeParameters(
         family=family,
         p=p,
-        n=n,
+        n=build_graph(family, p).n,
         k=k_closed_form(family, p),
         m=m_closed_form(family, p),
         rp=rp_closed_form(family, p),

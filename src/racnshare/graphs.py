@@ -132,44 +132,35 @@ def path_graph(p: int) -> Graph:
     return Graph(p, edges, names, roles, family="path", p=p)
 
 
-def shadow_of_path(p: int) -> Graph:
-    """Shadow of P_p: 2p vertices, 4(p-1) edges."""
+def _derived_of_path(family: str, p: int) -> Graph:
+    """P_p on x_1..x_p with the cross edges x_t y_{t+1} and y_t x_{t+1}; the
+    shadow adds the y-path, the Mycielskian an apex joined to every y_t."""
     _require_p(p)
+    apex = family == "mycielski"
     edges: list[Edge] = []
     for t in range(1, p):
-        edges.append(_norm_edge(t - 1, t))              # x_t x_{t+1}
-        edges.append(_norm_edge(p + t - 1, p + t))      # y_t y_{t+1}
-        edges.append(_norm_edge(t - 1, p + t))          # x_t y_{t+1}
-        edges.append(_norm_edge(p + t - 1, t))          # y_t x_{t+1}
-    names, roles = _family_names_roles(p, with_apex=False)
-    return Graph(2 * p, tuple(sorted(edges)), names, roles, family="shadow", p=p)
+        edges += [(t - 1, t), (t - 1, p + t), (t, p + t - 1)]
+        if family == "shadow":
+            edges.append((p + t - 1, p + t))
+    if apex:
+        edges += [(p + t, 2 * p) for t in range(p)]
+    names, roles = _family_names_roles(p, with_apex=apex)
+    return Graph(2 * p + apex, tuple(sorted(edges)), names, roles, family=family, p=p)
+
+
+def shadow_of_path(p: int) -> Graph:
+    """Shadow of P_p: 2p vertices, 4(p-1) edges."""
+    return _derived_of_path("shadow", p)
 
 
 def splitting_of_path(p: int) -> Graph:
     """Splitting graph of P_p: 2p vertices, 3(p-1) edges, no y-y edges."""
-    _require_p(p)
-    edges: list[Edge] = []
-    for t in range(1, p):
-        edges.append(_norm_edge(t - 1, t))
-        edges.append(_norm_edge(t - 1, p + t))
-        edges.append(_norm_edge(p + t - 1, t))
-    names, roles = _family_names_roles(p, with_apex=False)
-    return Graph(2 * p, tuple(sorted(edges)), names, roles, family="splitting", p=p)
+    return _derived_of_path("splitting", p)
 
 
 def mycielski_of_path(p: int) -> Graph:
     """Mycielskian of P_p: 2p+1 vertices (apex last), 4p-3 edges."""
-    _require_p(p)
-    apex = 2 * p
-    edges: list[Edge] = []
-    for t in range(1, p):
-        edges.append(_norm_edge(t - 1, t))
-        edges.append(_norm_edge(t - 1, p + t))
-        edges.append(_norm_edge(p + t - 1, t))
-    for t in range(1, p + 1):
-        edges.append(_norm_edge(apex, p + t - 1))
-    names, roles = _family_names_roles(p, with_apex=True)
-    return Graph(2 * p + 1, tuple(sorted(edges)), names, roles, family="mycielski", p=p)
+    return _derived_of_path("mycielski", p)
 
 
 _BUILDERS = {

@@ -32,12 +32,23 @@ def to_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _field(d, key: str):
-    """``d[key]``; InvalidParameterError when ``d`` is not a JSON object holding ``key``."""
+def _field(d, key: str, kind: type):
+    """``d[key]``; InvalidParameterError unless ``d`` is a JSON object holding a ``kind`` there."""
     try:
-        return d[key]
+        value = d[key]
     except (KeyError, TypeError):
         raise InvalidParameterError(f"expected a JSON object with {key!r}, got {d!r}") from None
+    if type(value) is not kind:  # JSON true is not an int here
+        raise InvalidParameterError(f"expected {key!r} to be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _edges(d) -> list[tuple[int, int]]:
+    edges = _field(d, "edges", list)
+    if not all(type(e) is list and len(e) == 2 and all(type(v) is int for v in e)
+               for e in edges):
+        raise InvalidParameterError(f"expected 'edges' to hold [i, j] integer pairs, got {edges!r}")
+    return [tuple(e) for e in edges]
 
 
 # -- graphs -----------------------------------------------------------------
@@ -53,20 +64,24 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(d: dict) -> Graph:
+    if not isinstance(d, dict):
+        raise InvalidParameterError(f"expected a JSON object, got {d!r}")
     family = d.get("family")
     p = d.get("p")
     if family in FAMILIES and p is not None:
         g = build_graph(family, p)
-        file_edges = sorted(tuple(sorted(e)) for e in _field(d, "edges"))
+        file_edges = sorted(tuple(sorted(e)) for e in _edges(d))
         if d.get("n", g.n) != g.n or file_edges != sorted(g.edges):
             raise InvalidParameterError(
                 f"stored edges do not match the {family} construction at p={p}"
             )
         return g
-    n = _field(d, "n")
+    n = _field(d, "n", int)
     roles = d.get("roles") or {}
+    if not isinstance(roles, dict):
+        raise InvalidParameterError(f"expected 'roles' to be an object, got {roles!r}")
     names = [roles.get(str(v), str(v + 1)) for v in range(n)]
-    return custom_graph(n, [tuple(e) for e in _field(d, "edges")], names=names, family=family)
+    return custom_graph(n, _edges(d), names=names, family=family)
 
 
 # -- labelings and colorings -------------------------------------------------
@@ -116,7 +131,7 @@ def share_to_dict(s: Share) -> dict:
 
 
 def share_from_dict(d: dict) -> Share:
-    return Share(index=_field(d, "index"), payload=bytes.fromhex(_field(d, "payload_hex")))
+    return Share(index=_field(d, "index", int), payload=bytes.fromhex(_field(d, "payload_hex", str)))
 
 
 # -- traces -------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Threshold secret sharing over GF(256).
 
 Arithmetic uses the field of order 256 with reduction polynomial
-x^8 + x^4 + x^3 + x + 1 (0x11B): addition is XOR, multiplication goes
-through log/exp tables built once at import from the generator 3. Each
-secret byte is split independently: a random polynomial of degree k-1
-with the byte as constant term is evaluated at the share indexes, and
-Lagrange interpolation at 0 recovers the byte from any k shares.
+x^8 + x^4 + x^3 + x + 1 (0x11B): addition is XOR, and a*b is byte b of
+a's row, the 256 products of a, built by shift-and-reduce on a's first use
+and cached. Each secret byte is split independently: a random polynomial
+of degree k-1 with the byte as constant term is evaluated at the share
+indexes, and Lagrange interpolation at 0 recovers the byte from any k shares.
 
 Without a seed the coefficients come from ``os.urandom``, so fewer than k
 shares say nothing about the secret. A seed makes a split reproducible, but
@@ -14,6 +14,7 @@ anyone who knows it can recompute the coefficients: for tests and examples.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from dataclasses import dataclass
@@ -26,35 +27,17 @@ from .errors import (
 )
 
 _POLY = 0x11B
-_GENERATOR = 3
-
-_EXP = [0] * 510
-_LOG = [0] * 256
 
 
-def _shift_reduce_mul(a: int, b: int) -> int:
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        if a & 0x100:
-            a ^= _POLY
-        b >>= 1
-    return acc
-
-
-def _build_tables() -> None:
-    x = 1
-    for i in range(255):
-        _EXP[i] = x
-        _LOG[x] = i
-        x = _shift_reduce_mul(x, _GENERATOR)
-    for i in range(255, 510):
-        _EXP[i] = _EXP[i - 255]
-
-
-_build_tables()
+@functools.cache
+def _row(a: int) -> bytes:
+    """a's products with 0..255: ``_row(a)[b]`` is a*b, the XOR of a*x^i over
+    the bits i of b. Each step doubles the row and shifts a, reducing by _POLY."""
+    row = [0]
+    for _ in range(8):
+        row += [r ^ a for r in row]
+        a = (a << 1) ^ (_POLY if a & 0x80 else 0)
+    return bytes(row)
 
 
 def gf_add(a: int, b: int) -> int:
@@ -62,22 +45,21 @@ def gf_add(a: int, b: int) -> int:
 
 
 def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[_LOG[a] + _LOG[b]]
+    return _row(a)[b]
 
 
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(256)")
-    return _EXP[255 - _LOG[a]]
+    return _row(a).index(1)
 
 
 def gf_eval(coeffs: list[int], x: int) -> int:
     """Evaluate a polynomial given low-to-high coefficients, by Horner."""
+    row = _row(x)
     acc = 0
     for c in reversed(coeffs):
-        acc = gf_mul(acc, x) ^ c
+        acc = row[acc] ^ c
     return acc
 
 
@@ -121,13 +103,16 @@ def split(secret: bytes, cfg: SecretConfig) -> list[Share]:
     secret = bytes(secret)
     payloads = [bytearray(len(secret)) for _ in range(cfg.share_count)]
     width = cfg.threshold - 1
-    pool = os.urandom(len(secret) * width) if cfg.seed is None else b""
+    if cfg.seed is None:
+        pool = os.urandom(len(secret) * width)
+    else:
+        pool = bytes(
+            rng.randrange(256)
+            for rng in (random.Random((cfg.seed << 64) | i) for i in range(len(secret)))
+            for _ in range(width)
+        )
     for byte_index, byte in enumerate(secret):
-        if cfg.seed is None:
-            coeffs = [byte, *pool[byte_index * width:(byte_index + 1) * width]]
-        else:
-            rng = random.Random((cfg.seed << 64) | byte_index)
-            coeffs = [byte] + [rng.randrange(256) for _ in range(width)]
+        coeffs = [byte, *pool[byte_index * width:(byte_index + 1) * width]]
         for s in range(cfg.share_count):
             payloads[s][byte_index] = gf_eval(coeffs, s + 1)
     return [Share(index=s + 1, payload=bytes(payloads[s])) for s in range(cfg.share_count)]
@@ -152,11 +137,11 @@ def reconstruct(shares: list[Share], k: int) -> bytes:
                 continue
             num = gf_mul(num, xj)
             den = gf_mul(den, xj ^ xi)
-        basis.append(gf_mul(num, gf_inv(den)))
+        basis.append(_row(gf_mul(num, gf_inv(den))))
     out = bytearray(length)
     for pos in range(length):
         acc = 0
-        for share, b in zip(shares, basis):
-            acc ^= gf_mul(share.payload[pos], b)
+        for share, row in zip(shares, basis):
+            acc ^= row[share.payload[pos]]
         out[pos] = acc
     return bytes(out)

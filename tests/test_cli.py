@@ -200,6 +200,18 @@ class TestShares:
         assert out == ""
         assert err.startswith("error: expected a JSON object with ")
 
+    @pytest.mark.parametrize("content,message", [
+        (5, "expected a JSON list of shares, got 5"),
+        ([{"index": 1, "payload_hex": 5}], "expected 'payload_hex' to be str, got 5"),
+        ([{"index": "1", "payload_hex": "ab"}], "expected 'index' to be int, got '1'"),
+        ([{"index": True, "payload_hex": "ab"}], "expected 'index' to be int, got True"),
+    ], ids=["not-a-list", "int-payload", "str-index", "bool-index"])
+    def test_mistyped_shares_file_exits_2(self, capsys, tmp_path, content, message):
+        path = tmp_path / "shares.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, "reconstruct", "--shares-file", str(path), "--k", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_too_few_shares_exits_2(self, capsys):
         shares = run_json(capsys, "split", "--secret", "s", "--k", "3", "--shares", "4")
         d = f"{shares[0]['index']}:{shares[0]['payload_hex']}"
@@ -275,6 +287,23 @@ class TestSimulations:
         assert code == 2
         assert out == ""
         assert err == "error: expected a JSON object with 'n', got {}\n"
+
+    @pytest.mark.parametrize("content,message", [
+        ([], "expected a JSON object, got []"),
+        ({"n": 3, "edges": [[1, "x"]]},
+         "expected 'edges' to hold [i, j] integer pairs, got [[1, 'x']]"),
+        ({"n": "3", "edges": []}, "expected 'n' to be int, got '3'"),
+        ({"n": 2, "edges": [[0, True]]},
+         "expected 'edges' to hold [i, j] integer pairs, got [[0, True]]"),
+        ({"n": 2, "edges": [[0, 1]], "roles": ["a", "b"]},
+         "expected 'roles' to be an object, got ['a', 'b']"),
+    ], ids=["not-an-object", "str-vertex", "str-n", "bool-vertex", "list-roles"])
+    def test_dissemination_mistyped_fixture_exits_2(self, capsys, tmp_path, content, message):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, "simulate-dissemination", "--fixture", str(path),
+                             "--informed", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_dissemination_unknown_name_exits_2(self, capsys):
         code, _, err = run(

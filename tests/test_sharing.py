@@ -225,3 +225,81 @@ def test_seeded_split_bytes_pinned():
         "bddddd42381bf9278f8002a6853c420fbdb02e",
         "2afa2727d78dc4fe23dafb5d047140cd497e27",
     ]
+
+
+# The per-byte scheme as first shipped: products through log/exp tables of
+# the generator 3, and one random.Random((seed << 64) | i) per secret byte.
+# split and reconstruct must keep giving its bytes.
+def ref_tables():
+    exp, log, x = [0] * 510, [0] * 256, 1
+    for i in range(255):
+        exp[i] = exp[i + 255] = x
+        log[x] = i
+        x = slow_mul(x, 3)
+    return exp, log
+
+
+REF_EXP, REF_LOG = ref_tables()
+
+
+def ref_mul(a, b):
+    if a == 0 or b == 0:
+        return 0
+    return REF_EXP[REF_LOG[a] + REF_LOG[b]]
+
+
+def ref_split(secret, k, n, seed):
+    payloads = [bytearray(len(secret)) for _ in range(n)]
+    for i, byte in enumerate(secret):
+        rng = random.Random((seed << 64) | i)
+        coeffs = [byte] + [rng.randrange(256) for _ in range(k - 1)]
+        for s in range(n):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = ref_mul(acc, s + 1) ^ c
+            payloads[s][i] = acc
+    return [bytes(p) for p in payloads]
+
+
+def ref_reconstruct(shares):
+    basis = []
+    for i, xi in enumerate(s.index for s in shares):
+        num, den = 1, 1
+        for j, xj in enumerate(s.index for s in shares):
+            if j != i:
+                num, den = ref_mul(num, xj), ref_mul(den, xj ^ xi)
+        basis.append(ref_mul(num, REF_EXP[255 - REF_LOG[den]]))
+    out = bytearray(len(shares[0].payload))
+    for pos in range(len(out)):
+        for share, b in zip(shares, basis):
+            out[pos] ^= ref_mul(share.payload[pos], b)
+    return bytes(out)
+
+
+def oracle_cases():
+    rng = random.Random(20261018)
+    cases = [(1, 1), (1, 255), (255, 255), (9, 17), (17, 17), (2, 255)]
+    while len(cases) < 50:
+        n = rng.choice([rng.randint(1, 20), rng.randint(1, 255)])
+        k = rng.choice([1, n, rng.randint(1, n)])
+        cases.append((k, n))
+    for case, (k, n) in enumerate(cases):
+        length = rng.randint(1, 24 if k * n <= 400 else 3)
+        yield k, n, bytes(rng.randrange(256) for _ in range(length)), rng.randrange(2**32), case
+
+
+ORACLE_CASES = list(oracle_cases())
+
+
+@pytest.mark.parametrize(
+    "k,n,secret,seed,case", ORACLE_CASES, ids=[f"{c[4]}-k{c[0]}-n{c[1]}" for c in ORACLE_CASES]
+)
+def test_same_bytes_as_the_log_table_scheme(k, n, secret, seed, case):
+    shares = split(secret, SecretConfig(k, n, seed=seed))
+    assert [s.payload for s in shares] == ref_split(secret, k, n, seed)
+    rng = random.Random(case)
+    picked = rng.sample(shares, rng.randint(k, n))
+    assert reconstruct(picked, k) == ref_reconstruct(picked) == secret
+    noise = bytes(rng.randrange(256) for _ in secret)
+    tampered = [Share(picked[0].index, noise), *picked[1:]]
+    assert reconstruct(tampered, k) == ref_reconstruct(tampered)
