@@ -3,8 +3,16 @@
 A path is *rainbow* when its edge weights are pairwise distinct; a coloring
 is *rainbow connected* when every vertex pair is joined by some rainbow
 path. The minimum, over all bijective labelings whose induced coloring is
-rainbow connected, of the number of distinct edge weights is computed
-exactly by ``racn_exact`` for small graphs.
+rainbow connected, of the number of distinct edge weights (the racn) is
+computed exactly by ``racn_exact`` for small graphs.
+
+``racn_exact`` deepens a bound on the weight count and runs one
+backtracking search, ``_first_labeling``, in two vertex orders: a
+maximum-cardinality order proves the infeasible levels, and index order
+finds the lexicographically first witness at the first feasible one. Both
+passes forward-check the frontier (the unlabeled vertices next to labeled
+ones) against the bound, which removes only subtrees with no complete
+labeling, so the witness is the one a plain index-order search returns.
 
 One iterative enumerator, ``_rainbow_paths``, serves all four callers: a
 lexicographic DFS over an adjacency built once per coloring, with used
@@ -28,6 +36,7 @@ search's default budget.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import (
@@ -83,7 +92,8 @@ class RainbowConnectivity:
 class RacnCertificate:
     """Result of the exact search: minimum color count plus a witness.
 
-    ``examined``: complete labelings tested, over all deepening levels.
+    ``examined``: complete labelings tested, over all deepening levels and
+    both passes (feasibility, then witness).
     """
 
     value: int
@@ -281,17 +291,126 @@ def vertex_orbits(g: Graph) -> list[int]:
     return [min(images) for images in zip(*automorphisms(g))]
 
 
+def _max_cardinality_order(g: Graph) -> list[int]:
+    """Vertex 0, then repeatedly the unplaced vertex with the most placed
+    neighbours, ties going to the lowest index; O((n + m) log n).
+
+    Heap entries ``(-count, v)`` go stale when v gains another placed
+    neighbour; a popped entry counts only if it still matches.
+    """
+    count = [0] * g.n
+    placed = [False] * g.n
+    heap = [(0, 0)]
+    order = []
+    while heap:
+        c, v = heapq.heappop(heap)
+        if placed[v] or -c != count[v]:
+            continue
+        placed[v] = True
+        order.append(v)
+        for x in g.adjacency[v]:
+            if not placed[x]:
+                count[x] += 1
+                heapq.heappush(heap, (-count[x], x))
+    return order
+
+
+def _first_labeling(
+    g: Graph, order: list[int], cands: list[int], bound: int, accept
+) -> tuple[tuple[int, ...] | None, int]:
+    """First accepted labeling with at most ``bound`` weights, in ``order``.
+
+    Backtracks over the vertices in ``order``, trying each vertex's labels
+    in ascending order from ``cands[v]`` (a bitmask, bit l for label l)
+    less the labels already taken. Returns ``(labels, leaves)``: the first
+    complete labeling, within the bound, that ``accept`` takes (None if
+    there is none) and the number of complete labelings tested.
+
+    A candidate label is dropped when the weights exceed the bound or when
+    some frontier vertex x (unplaced, with a placed neighbour) has no free
+    label l with ``popcount(weights | near[x] << l) <= bound``, ``near[x]``
+    being the labels of x's placed neighbours as a bitmask. Such a subtree
+    holds no complete labeling within the bound, so the leaves reached, and
+    their order, are those of the search without this check.
+    """
+    n = g.n
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    later = [[x for x in g.adjacency[v] if pos[x] > pos[v]] for v in range(n)]
+    # frontier[k]: (x, 1 if x neighbours order[k] else 0) for each x on the
+    # frontier once positions 0..k are placed
+    frontier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x in range(n):
+        first = min((pos[u] for u in g.adjacency[x]), default=n)
+        for k in range(first, pos[x]):
+            frontier[k].append((x, int(x in later[order[k]])))
+    labels = [0] * n
+    near = [0] * n
+    # position k: the untried labels of order[k], and the weights and the
+    # labels taken by positions 0..k-1
+    untried, weights, taken = [0] * n, [0] * n, [0] * n
+    untried[0] = cands[order[0]]
+    leaves = 0
+    k = 0
+    while k >= 0:
+        v = order[k]
+        if labels[v]:
+            for x in later[v]:
+                near[x] ^= 1 << labels[v]
+            labels[v] = 0
+        c, wk, near_v = untried[k], weights[k], near[v]
+        while c:
+            low = c & -c
+            c ^= low
+            lab = low.bit_length() - 1
+            w = wk | near_v << lab
+            if w.bit_count() > bound:
+                continue
+            t = taken[k] | low
+            for x, adj in frontier[k]:
+                near_x = near[x] | adj << lab
+                free = cands[x] & ~t
+                while free:
+                    if (w | near_x << ((free & -free).bit_length() - 1)).bit_count() <= bound:
+                        break
+                    free &= free - 1
+                if not free:
+                    break
+            else:
+                break
+        else:
+            k -= 1
+            continue
+        untried[k] = c
+        labels[v] = lab
+        for x in later[v]:
+            near[x] |= low
+        if k + 1 < n:
+            k += 1
+            untried[k], weights[k], taken[k] = cands[order[k]] & ~t, w, t
+            continue
+        leaves += 1
+        if accept(labels):
+            return tuple(labels), leaves
+    return None, leaves
+
+
 def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
     """Exact minimum color count over rainbow-connected bijective labelings.
 
-    Iterative deepening: for t from max(diameter, max degree) upward,
-    backtrack over labels in vertex order, abandoning a partial assignment
-    whose weights take more than t values; the first t with a solution is
-    the value. The start is sound: a rainbow path between a diametral pair
-    needs ``diameter`` classes, and the edges at a vertex carry distinct
-    sums. Label 1 goes only on one representative per automorphism orbit.
-    Labels ascend, so the witness is the lexicographically first
-    rainbow-connected labeling of minimum value.
+    Iterative deepening from t = max(diameter, max degree): a rainbow path
+    between a diametral pair needs ``diameter`` classes, and the edges at a
+    vertex carry distinct sums. At each level a feasibility pass in
+    maximum-cardinality order decides whether some rainbow-connected
+    labeling has at most t weights; that order places each vertex next to
+    many placed ones, so the bound and the forward check bite early. At the
+    first feasible level a witness pass in index order returns the
+    lexicographically first such labeling (the feasibility pass's own find
+    when the two orders agree, as on a path). Label 1 goes only on one
+    representative per automorphism orbit: some solution survives that in
+    any order, so the feasibility pass stays exact, and the index-order
+    witness is the lexicographically first of minimum value.
     """
     if g.n > max_n:
         raise InstanceTooLargeError(
@@ -301,39 +420,27 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
         raise NotConnectedError("graph is not connected")
 
     n = g.n
-    lower = [[u for u in g.adjacency[v] if u < v] for v in range(n)]
-    choices = [range(1 if rep == v else 2, n + 1) for v, rep in enumerate(vertex_orbits(g))]
-    labels = [0] * n
-    examined = 0
+    labels_mask = (2 << n) - 2
+    cands = [labels_mask if rep == v else labels_mask & ~2
+             for v, rep in enumerate(vertex_orbits(g))]
+    by_index = list(range(n))
+    by_cardinality = _max_cardinality_order(g)
 
-    def rainbow_connected() -> bool:
+    def rainbow_connected(labels) -> bool:
         adj = [[(b, s, 1 << s) for b in nbrs for s in (labels[a] + labels[b],)]
                for a, nbrs in enumerate(g.adjacency)]
         return not any(_first_arrivals(adj, u, (1 << n) - (2 << u)) for u in range(n - 1))
 
+    examined = 0
     for bound in range(max(diameter(g), degree_stats(g)[1]), len(g.edges) + 1):
-        # frame v: vertex v's untried labels, and the weights and labels of vertices 0..v-1
-        stack = [(iter(choices[0]), 0, 0)]
-        while stack:
-            v = len(stack) - 1
-            labs, weights, taken = stack[-1]
-            for lab in labs:
-                if not taken >> lab & 1:
-                    w = weights
-                    for u in lower[v]:
-                        w |= 1 << (labels[u] + lab)
-                    if w.bit_count() <= bound:
-                        break
-            else:
-                stack.pop()
-                continue
-            labels[v] = lab
-            if v + 1 < n:
-                stack.append((iter(choices[v + 1]), w, taken | 1 << lab))
-                continue
-            examined += 1
-            if rainbow_connected():
-                return RacnCertificate(w.bit_count(), Labeling(tuple(labels)), True, examined)
+        labels, leaves = _first_labeling(g, by_cardinality, cands, bound, rainbow_connected)
+        examined += leaves
+        if labels is None:
+            continue
+        if by_cardinality != by_index:
+            labels, leaves = _first_labeling(g, by_index, cands, bound, rainbow_connected)
+            examined += leaves
+        return RacnCertificate(bound, Labeling(labels), True, examined)
     # every connected graph admits a rainbow-connected labeling (e.g. one
     # making all weights distinct), so this is unreachable for valid input
     raise InvalidParameterError("no rainbow-connected labeling found")

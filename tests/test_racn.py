@@ -3,7 +3,9 @@
 The in-test oracle below enumerates all n! labelings with no pruning
 beyond skipping candidates that cannot improve, so any agreement with
 ``racn_exact`` (which prunes by automorphism orbits and partial counts)
-is a genuine dual-route confirmation.
+is a genuine dual-route confirmation. A second scan, with the same label-1
+orbit rule but found by testing every vertex permutation, gives the
+lexicographically first minimum labeling, so the witness is checked too.
 """
 
 import itertools
@@ -65,6 +67,30 @@ def brute_racn(g):
     return best
 
 
+def first_min_labeling(g):
+    """The lexicographically first rainbow-connected labeling of minimum count.
+
+    Scans the label permutations in lexicographic order, giving label 1
+    only to the smallest vertex of its orbit, with the orbits taken from a
+    scan of every vertex permutation for automorphisms.
+    """
+    edges = {frozenset(e) for e in g.edges}
+    autos = [
+        pi for pi in itertools.permutations(range(g.n))
+        if all(frozenset((pi[a], pi[b])) in edges for a, b in g.edges)
+    ]
+    reps = [min(pi[v] for pi in autos) for v in range(g.n)]
+    best = None
+    for perm in itertools.permutations(range(1, g.n + 1)):
+        if reps[perm.index(1)] != perm.index(1):
+            continue
+        weight_of = {(a, b): perm[a] + perm[b] for a, b in g.edges}
+        distinct = len(set(weight_of.values()))
+        if (best is None or distinct < best[0]) and _rc(g.n, g.edges, weight_of):
+            best = (distinct, perm)
+    return best
+
+
 FROZEN = {
     ("path", 2): 1,
     ("path", 3): 2,
@@ -97,6 +123,9 @@ FROZEN_WITNESSES = {
     ("mycielski", 3): (4, (1, 6, 2, 3, 7, 5, 4)),
     ("mycielski", 4): (5, (1, 6, 3, 4, 9, 8, 5, 7, 2)),
     ("mycielski", 5): (5, (2, 11, 6, 7, 10, 1, 8, 3, 4, 5, 9)),
+    ("shadow", 6): (6, (1, 6, 2, 5, 3, 4, 7, 12, 8, 11, 9, 10)),
+    ("splitting", 6): (5, (1, 10, 7, 8, 11, 6, 9, 12, 3, 4, 5, 2)),
+    ("mycielski", 6): (6, (1, 5, 6, 9, 3, 13, 11, 10, 7, 8, 2, 12, 4)),
     ("path", 2): (1, (1, 2)),
     ("path", 3): (2, (1, 2, 3)),
     ("path", 4): (3, (1, 2, 3, 4)),
@@ -109,7 +138,7 @@ FROZEN_WITNESSES = {
 
 @pytest.mark.parametrize("family,p", sorted(FROZEN_WITNESSES))
 def test_frozen_witnesses(family, p):
-    cert = racn_exact(build_graph(family, p), max_n=11)
+    cert = racn_exact(build_graph(family, p), max_n=13)
     assert (cert.value, cert.witness.values) == FROZEN_WITNESSES[(family, p)]
     assert cert.exhaustive
 
@@ -210,3 +239,20 @@ def test_random_graphs_match_scan(data):
     edges = sorted(set(zip(range(n - 1), range(1, n))) | extra)
     g = custom_graph(n, edges)
     assert racn_exact(g).value == brute_racn(g)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_random_graphs_match_first_min_labeling(data):
+    n = data.draw(st.integers(min_value=3, max_value=6))
+    # a random tree on a shuffled vertex order keeps the graph connected
+    shuffled = data.draw(st.permutations(range(n)))
+    tree = {
+        tuple(sorted((shuffled[i], shuffled[data.draw(st.integers(0, i - 1))])))
+        for i in range(1, n)
+    }
+    pool = list(itertools.combinations(range(n), 2))
+    extra = data.draw(st.sets(st.sampled_from(pool), max_size=len(pool)))
+    g = custom_graph(n, sorted(tree | extra))
+    cert = racn_exact(g)
+    assert (cert.value, cert.witness.values) == first_min_labeling(g)
