@@ -117,92 +117,3 @@ from .sharing import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetExceededError",
-    "DisseminationRound",
-    "DisseminationTrace",
-    "DuplicateIndexError",
-    "FAMILIES",
-    "Graph",
-    "InstanceTooLargeError",
-    "InsufficientSharesError",
-    "InvalidConfigError",
-    "InvalidLabelingError",
-    "InvalidParameterError",
-    "Labeling",
-    "LengthMismatchError",
-    "NotConnectedError",
-    "RacnCertificate",
-    "RacnShareError",
-    "RainbowConnectivity",
-    "RainbowPath",
-    "ReconstructionTrace",
-    "SCHEME_FAMILIES",
-    "SchemeInstance",
-    "SchemeParameters",
-    "SecretConfig",
-    "Share",
-    "UnreachableParticipantsError",
-    "ValidationReport",
-    "ValidationRow",
-    "WeightedColoring",
-    "automorphisms",
-    "build_graph",
-    "certificate_to_dict",
-    "coloring_from_dict",
-    "coloring_to_dict",
-    "custom_graph",
-    "degree_stats",
-    "diameter",
-    "dissemination_trace_to_dict",
-    "distinct_weight_count",
-    "distribute",
-    "edge_weights",
-    "empirical_m",
-    "empirical_rp",
-    "enumerate_cycles",
-    "exists_rainbow_path",
-    "export_dot",
-    "family_coloring",
-    "family_labeling",
-    "fixture_graph",
-    "gf_add",
-    "gf_eval",
-    "gf_inv",
-    "gf_mul",
-    "graph_from_dict",
-    "graph_to_dict",
-    "is_chordless",
-    "is_rainbow_connected",
-    "k_closed_form",
-    "labeling_from_dict",
-    "labeling_to_dict",
-    "load_graph",
-    "m_closed_form",
-    "max_new_color_path",
-    "mycielski_labeling",
-    "mycielski_of_path",
-    "path_graph",
-    "path_labeling",
-    "racn_exact",
-    "racn_upper",
-    "reconstruct",
-    "reconstruction_trace_to_dict",
-    "rp_closed_form",
-    "scheme_parameters",
-    "shadow_labeling",
-    "shadow_of_path",
-    "share_from_dict",
-    "share_to_dict",
-    "simulate_dissemination",
-    "simulate_reconstruction",
-    "split",
-    "splitting_labeling",
-    "splitting_of_path",
-    "theorem_lower_bound",
-    "to_json",
-    "validate_family",
-    "verify_bijection",
-    "vertex_orbits",
-]

@@ -302,7 +302,7 @@ def _cmd_simulate_reconstruction(args) -> int:
 def _cmd_simulate_dissemination(args) -> int:
     if args.fixture:
         g = serialize.load_graph(args.fixture)
-    elif args.family and args.p:
+    elif args.family and args.p is not None:
         g = build_graph(args.family, args.p)
     else:
         print("simulate-dissemination: provide --fixture or --family/--p",

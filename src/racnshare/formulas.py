@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import protocol
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import _require_p, build_graph, degree_stats
 from .labelings import distinct_weight_count, family_coloring, family_labeling
@@ -211,8 +212,6 @@ def validate_family(
     exhaustive rainbow-path cover search per p, the exact color minimum from
     the bounded brute-force solver.
     """
-    from . import protocol  # deferred: protocol pulls sharing on top of this module
-
     rows = []
     for p in p_range:
         _check(family, p)

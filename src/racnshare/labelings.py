@@ -27,12 +27,6 @@ class Labeling:
 
     values: tuple[int, ...]
 
-    def label(self, v: int) -> int:
-        return self.values[v]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(enumerate(self.values))
-
 
 @dataclass(frozen=True)
 class WeightedColoring:
@@ -40,10 +34,6 @@ class WeightedColoring:
 
     weights: dict[Edge, int]
     classes: dict[int, tuple[Edge, ...]]
-
-    @property
-    def class_values(self) -> tuple[int, ...]:
-        return tuple(sorted(self.classes))
 
     def weight(self, u: int, v: int) -> int:
         return self.weights[(u, v) if u < v else (v, u)]

@@ -22,7 +22,6 @@ from .errors import (
     RacnShareError,
     UnreachableParticipantsError,
 )
-from .formulas import SCHEME_FAMILIES, scheme_parameters, SchemeParameters
 from .graphs import Graph, bfs_parents
 from .labelings import Labeling, WeightedColoring, edge_weights
 from .rainbow import (_EXHAUSTED, DEFAULT_NODE_BUDGET, RainbowPath, _adjacency, _rainbow_paths,
@@ -39,7 +38,6 @@ class SchemeInstance:
     coloring: WeightedColoring
     class_to_share: dict[int, Share]
     secret: bytes
-    params: SchemeParameters | None
 
     @property
     def threshold(self) -> int:
@@ -64,16 +62,12 @@ def distribute(graph: Graph, labeling: Labeling, secret: bytes,
     k = len(classes)
     shares = split(secret, SecretConfig(threshold=k, share_count=k, seed=seed))
     class_to_share = dict(zip(classes, shares))
-    params = None
-    if graph.family in SCHEME_FAMILIES and graph.p is not None:
-        params = scheme_parameters(graph.family, graph.p)
     return SchemeInstance(
         graph=graph,
         labeling=labeling,
         coloring=coloring,
         class_to_share=class_to_share,
         secret=secret,
-        params=params,
     )
 
 

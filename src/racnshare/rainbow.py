@@ -72,9 +72,6 @@ class RainbowPath:
     def edge_count(self) -> int:
         return len(self.weights)
 
-    def display(self, g: Graph) -> str:
-        return "-".join(g.display(v) for v in self.vertices)
-
 
 @dataclass(frozen=True)
 class RainbowConnectivity:

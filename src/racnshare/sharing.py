@@ -120,6 +120,8 @@ def split(secret: bytes, cfg: SecretConfig) -> list[Share]:
 
 def reconstruct(shares: list[Share], k: int) -> bytes:
     """Lagrange-interpolate at 0 using all given shares (at least k)."""
+    if k < 1:
+        raise InvalidConfigError(f"threshold k must be >= 1, got {k}")
     if len(shares) < k:
         raise InsufficientSharesError(f"got {len(shares)} shares, need at least {k}")
     indexes = [s.index for s in shares]

@@ -212,6 +212,13 @@ class TestShares:
         code, out, err = run(capsys, "reconstruct", "--shares-file", str(path), "--k", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("k,shares", [
+        ("0", []), ("-2", ["--share", "1:ab"]),
+    ], ids=["k0-no-shares", "k-2-one-share"])
+    def test_threshold_below_one_exits_2(self, capsys, k, shares):
+        code, out, err = run(capsys, "reconstruct", "--k", k, *shares)
+        assert (code, out, err) == (2, "", f"error: threshold k must be >= 1, got {k}\n")
+
     def test_too_few_shares_exits_2(self, capsys):
         shares = run_json(capsys, "split", "--secret", "s", "--k", "3", "--shares", "4")
         d = f"{shares[0]['index']}:{shares[0]['payload_hex']}"
@@ -278,6 +285,11 @@ class TestSimulations:
         code, _, err = run(capsys, "simulate-dissemination", "--informed", "1")
         assert code == 2
         assert "--fixture" in err
+
+    def test_dissemination_p_0_names_p(self, capsys):
+        code, out, err = run(capsys, "simulate-dissemination", "--family", "shadow",
+                             "--p", "0", "--informed", "x1")
+        assert (code, out, err) == (2, "", "error: p must be an integer >= 2, got 0\n")
 
     def test_dissemination_malformed_fixture_exits_2(self, capsys, tmp_path):
         path = tmp_path / "graph.json"

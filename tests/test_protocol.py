@@ -25,7 +25,6 @@ from racnshare import (
     fixture_graph,
     is_chordless,
     path_graph,
-    scheme_parameters,
     simulate_dissemination,
     simulate_reconstruction,
 )
@@ -55,16 +54,8 @@ class TestDistribute:
         assert sorted(inst.class_to_share) == [4, 5, 7, 9]
         assert inst.threshold == 4
 
-    def test_params_attached_for_scheme_families(self):
-        inst = deal("splitting", 3)
-        assert inst.params == scheme_parameters("splitting", 3)
-
-    def test_no_params_for_plain_graphs(self):
-        g = path_graph(4)
-        from racnshare import Labeling
-
-        inst = distribute(g, Labeling((1, 2, 3, 4)), b"s")
-        assert inst.params is None
+    def test_plain_graph_threshold_is_class_count(self):
+        inst = distribute(path_graph(4), Labeling((1, 2, 3, 4)), b"s")
         assert inst.threshold == 3  # weights 3, 5, 7
 
     def test_vertex_holds_one_share_per_incident_class(self):

@@ -168,6 +168,13 @@ class TestSplitReconstruct:
         with pytest.raises(LengthMismatchError):
             reconstruct([s1, broken], 2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_threshold_below_one_rejected(self, k):
+        shares = split(b"hi", SecretConfig(2, 3))
+        for given in ([], shares[:1], shares):
+            with pytest.raises(InvalidConfigError, match=f"k must be >= 1, got {k}"):
+                reconstruct(given, k)
+
     def test_wrong_share_reconstructs_wrong(self):
         secret = b"x"
         shares = split(secret, SecretConfig(2, 3, seed=1))
