@@ -311,6 +311,9 @@ def _cmd_simulate_dissemination(args) -> int:
     informed = frozenset(
         g.index_of(name.strip()) for name in args.informed.split(",") if name.strip()
     )
+    if not informed:
+        print("simulate-dissemination: --informed names no vertex", file=sys.stderr)
+        return 2
     trace = protocol.simulate_dissemination(
         g, informed, cycle_policy=args.cycle_policy, max_len=args.max_len
     )

@@ -24,8 +24,8 @@ from .errors import (
 )
 from .graphs import Graph, bfs_parents
 from .labelings import Labeling, WeightedColoring, edge_weights
-from .rainbow import (_EXHAUSTED, DEFAULT_NODE_BUDGET, RainbowPath, _adjacency, _rainbow_paths,
-                      max_new_color_path)
+from .rainbow import (_EXHAUSTED, DEFAULT_NODE_BUDGET, RainbowPath, _adjacency,
+                      _fewest_edge_paths, _rainbow_paths, max_new_color_path)
 from .sharing import SecretConfig, Share, reconstruct, split
 
 
@@ -94,7 +94,10 @@ def simulate_reconstruction(
     Default policy is greedy: each phase takes the path covering the most
     not-yet-collected classes (ties: fewer edges, then lexicographically
     smallest vertex sequence). ``clamp=True`` caps a phase's haul at k-1
-    classes. ``optimal=True`` replaces greedy with the exhaustive
+    classes. Greedy reads the rainbow paths at most twice, each read with
+    its own ``node_budget``: ``max_new_color_path`` picks the first phase,
+    and ``_fewest_edge_paths`` lists the candidates of every later one.
+    ``optimal=True`` replaces greedy with the exhaustive
     minimum-phase cover used by ``empirical_rp``/``empirical_m``; it cannot
     honour the cap, so setting both raises ``InvalidParameterError``.
     """
@@ -102,26 +105,34 @@ def simulate_reconstruction(
         raise InvalidParameterError("clamp and optimal are mutually exclusive")
     g = instance.graph
     coloring = instance.coloring
-    all_classes = frozenset(coloring.classes)
-    k = len(all_classes)
+    bit_of = {c: 1 << i for i, c in enumerate(sorted(coloring.classes))}
+    k = len(bit_of)
+    full = (1 << k) - 1
+    cap = max(1, k - 1) if clamp else k
 
-    # the optimal cover is replayed under the greedy rule: most new classes,
-    # then fewer edges, then the lexicographically first vertex sequence
-    pool = None
+    def mask(weights) -> int:
+        return sum(bit_of[c] for c in weights)
+
     if optimal:
-        pool = [RainbowPath(vs, tuple(coloring.weight(a, b) for a, b in zip(vs, vs[1:])))
-                for vs in _min_vertex_cover_choice(g, coloring, node_budget)]
-    max_gain = max(1, k - 1) if clamp else None
+        paths = [RainbowPath(vs, tuple(coloring.weight(a, b) for a, b in zip(vs, vs[1:])))
+                 for vs in _min_vertex_cover_choice(g, coloring, node_budget)]
+    else:
+        paths = [max_new_color_path(g, coloring, frozenset(), node_budget, cap)]
+    # each phase takes the candidate (class mask, path) with the most new
+    # classes, at most cap, then the fewest edges, then the first listed
+    candidates = [(mask(p.weights), p) for p in paths]
     phases: list[tuple[RainbowPath, frozenset[int]]] = []
     cumulative: list[frozenset[int]] = []
     collected: frozenset[int] = frozenset()
     used: set[int] = set()
-    while collected != all_classes:
-        if pool is not None:
-            path = max(pool, key=lambda p: (len(set(p.weights) - collected), -p.edge_count))
-            pool.remove(path)
-        else:
-            path = max_new_color_path(g, coloring, collected, node_budget, max_gain)
+    while len(collected) < k:
+        new = full & ~mask(collected)
+        if len(phases) == 1 and not optimal:
+            # one more read of the paths ranks every later greedy phase; phase 1
+            # took a class, so cap >= k - 1 >= popcount(new) as the read needs
+            candidates = _fewest_edge_paths(g, coloring, new, node_budget)
+        _, path = max((c for c in candidates if (c[0] & new).bit_count() <= cap),
+                      key=lambda c: ((c[0] & new).bit_count(), -c[1].edge_count))
         newly = frozenset(path.weights) - collected
         collected |= newly
         phases.append((path, newly))
@@ -284,7 +295,7 @@ def _cycles(
     nbrs = [sum(1 << u for u in a) for a in g.adjacency]
     found: list[tuple[tuple[int, ...], int]] = []
     pushes = 0
-    for s in range(g.n if limit >= 3 else 0):
+    for s in range(g.n):
         up = [[u for u in a if u > s] for a in g.adjacency]
         stop = nbrs[s] if chordless else 0  # chordless: a neighbour of s ends the path
         for v1 in up[s]:
@@ -339,6 +350,11 @@ def _reaches(nbrs: list[int], u: int, free: int, targets: int) -> bool:
     return False
 
 
+def _check_max_len(max_len: int | None) -> None:
+    if max_len is not None and max_len < 3:
+        raise InvalidParameterError(f"max_len must be at least 3, got {max_len}")
+
+
 def enumerate_cycles(
     g: Graph,
     anchor: frozenset[int] | set[int],
@@ -349,10 +365,13 @@ def enumerate_cycles(
 
     Canonical form starts at the cycle's smallest vertex and takes the
     orientation whose second vertex is smaller than its last; results are
-    sorted by (length, vertex sequence). An empty anchor yields []. The
-    budget counts every push of the cycle search over the whole graph,
-    anchored or not.
+    sorted by (length, vertex sequence). An empty anchor yields [].
+    ``max_len``, if given, caps the cycle length in vertices and must be at
+    least 3; a smaller one raises ``InvalidParameterError``. The budget
+    counts every push of the cycle search over the whole graph, anchored or
+    not.
     """
+    _check_max_len(max_len)
     if not anchor:
         return []
     anchor = frozenset(anchor)
@@ -411,10 +430,12 @@ def simulate_dissemination(
 
     ``cycle_policy`` is "chordless" (default: only induced cycles carry,
     and the search pushes no vertex that would give the path a chord) or
-    "all" (any simple cycle may fire).
+    "all" (any simple cycle may fire). ``max_len`` caps the cycle length
+    as in ``enumerate_cycles``.
     """
     if not informed0:
-        raise InvalidParameterError("informed0 must be nonempty")
+        raise InvalidParameterError("the informed start set must be nonempty")
+    _check_max_len(max_len)
     for v in informed0:
         if not 0 <= v < g.n:
             raise InvalidParameterError(f"vertex {v} out of range")

@@ -21,8 +21,10 @@ it is pushed. ``exists_rainbow_path``, ``is_rainbow_connected`` and the
 leaf test of ``racn_exact`` stop once every target is reached: the path on
 the stack at the first arrival at v is the path a DFS aimed at v would
 return, so n single-source searches replace n(n-1)/2 pair searches.
-``max_new_color_path`` and the cover search in ``protocol`` read every
-path.
+``max_new_color_path`` stops at the first path that no later path can
+beat, and the cover search in ``protocol`` reads every path. Greedy
+reconstruction reads the paths at most twice per run: once for its first
+phase, and once, through ``_fewest_edge_paths``, for all the later ones.
 
 All searches are deterministic: neighbors are visited in ascending index
 order and ties are broken lexicographically on the vertex sequence, so
@@ -30,7 +32,8 @@ repeated runs yield identical witnesses.
 
 Every budgeted search, here and in ``protocol``, keeps one rule: it counts
 the nodes it pushes, never its root, and node ``budget + 1`` raises
-``BudgetExceededError(_EXHAUSTED)``. ``DEFAULT_NODE_BUDGET`` is each
+``BudgetExceededError(_EXHAUSTED)``. A search that stops early raises only
+when its budget runs out before the stop. ``DEFAULT_NODE_BUDGET`` is each
 search's default budget.
 """
 
@@ -232,23 +235,58 @@ def max_new_color_path(
     improves. A rainbow path with class mask c has exactly popcount(c)
     edges, and the DFS meets paths of equal length in lexicographic order
     of their vertex sequences, so the first path to reach the best key is
-    the lexicographically smallest among the tied ones.
+    the lexicographically smallest among the tied ones. No path gains more
+    than ``top = min(#uncollected, cap)`` classes, nor gains ``top`` on
+    fewer than ``top`` edges, so the search stops at the first path that
+    reaches that key. It raises ``BudgetExceededError`` only when it pushes
+    more than ``node_budget`` nodes before it stops.
     """
     classes = sorted(w.classes)
     if not set(classes) - set(collected):
         raise InvalidParameterError("every weight class is already collected")
     new = sum(1 << i for i, c in enumerate(classes) if c not in collected)
     cap = len(classes) if max_gain is None else max_gain
+    top = min(new.bit_count(), cap)
     best, best_key = None, (0, 0)
     for taken, _, used in _rainbow_paths(_adjacency(g, w), range(g.n), node_budget):
         gain = (used & new).bit_count()
         if gain <= cap and (gain, -len(taken)) > best_key:
             best, best_key = _as_path(taken), (gain, -len(taken))
+            if best_key == (top, -1 - top):
+                break
     if best is None:
         # only reachable with max_gain <= 0; without a cap a single
         # uncollected edge always yields gain >= 1
         raise InvalidParameterError("no path adds an uncollected weight class")
     return best
+
+
+def _fewest_edge_paths(
+    g: Graph, w: WeightedColoring, rest: int, node_budget: int
+) -> list[tuple[int, RainbowPath]]:
+    """``(S, path)`` for each nonzero class set ``S = used & rest`` of a rainbow
+    path: the first path in DFS order with the fewest edges, listed in the
+    DFS order of these paths.
+
+    ``rest`` and ``used`` are class masks, bit i for the i-th smallest
+    weight. For any ``new`` inside ``rest``, the path ``max_new_color_path``
+    picks under a cap is the entry with the most ``S & new`` classes (at
+    most the cap), then the fewest edges, then the first listed. Under a
+    cap of at least ``popcount(rest)`` the first path with ``used == rest``
+    wins for ``new == rest`` and leaves nothing to collect, so the scan
+    stops there. Pushes follow the budget rule of ``_rainbow_paths``.
+    """
+    table: dict[int, tuple] = {}  # S -> taken, in the DFS order of the kept paths
+    for taken, _, used in _rainbow_paths(_adjacency(g, w), range(g.n), node_budget):
+        s = used & rest
+        if s:
+            kept = table.get(s)
+            if kept is None or len(taken) < len(kept):
+                table.pop(s, None)
+                table[s] = tuple(taken)
+                if used == rest:
+                    break
+    return [(s, _as_path(taken)) for s, taken in table.items()]
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:

@@ -317,6 +317,24 @@ class TestSimulations:
                              "--informed", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("informed", [",", ""])
+    def test_dissemination_empty_informed_names_the_flag(self, capsys, informed):
+        code, out, err = run(capsys, "simulate-dissemination", "--fixture", "fig1",
+                             "--informed", informed)
+        assert (code, out, err) == (2, "", "simulate-dissemination: --informed names no vertex\n")
+
+    @pytest.mark.parametrize("max_len", ["2", "0", "-3"])
+    def test_dissemination_max_len_below_3_exits_2(self, capsys, max_len):
+        code, out, err = run(capsys, "simulate-dissemination", "--fixture", "fig1",
+                             "--informed", "5", "--max-len", max_len)
+        assert (code, out, err) == (2, "", f"error: max_len must be at least 3, got {max_len}\n")
+
+    def test_dissemination_max_len_3_fires_triangles(self, capsys):
+        d = run_json(capsys, "simulate-dissemination", "--fixture", "fig1",
+                     "--informed", "5", "--max-len", "3")
+        assert d["rounds"][0]["circuits"] == [["5", "7", "10"]]
+        assert [r["kind"] for r in d["rounds"]] == ["cycles", "fallback"]
+
     def test_dissemination_unknown_name_exits_2(self, capsys):
         code, _, err = run(
             capsys, "simulate-dissemination", "--fixture", "fig1", "--informed", "zz"

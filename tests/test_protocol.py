@@ -248,6 +248,16 @@ class TestCycles:
         g = fixture_graph()
         assert enumerate_cycles(g, frozenset(range(g.n)), max_len=3) == [(4, 6, 9)]
 
+    @pytest.mark.parametrize("max_len", [2, 0, -3])
+    def test_max_len_below_3_rejected(self, max_len):
+        g = fixture_graph()
+        for anchor in (frozenset(range(g.n)), frozenset()):
+            with pytest.raises(InvalidParameterError, match=f"max_len must be at least 3, got {max_len}"):
+                enumerate_cycles(g, anchor, max_len=max_len)
+        for informed in ({4}, set(range(g.n))):
+            with pytest.raises(InvalidParameterError, match="max_len must be at least 3"):
+                simulate_dissemination(g, informed, max_len=max_len)
+
     def test_tree_has_no_cycles(self):
         assert enumerate_cycles(path_graph(6), frozenset(range(6))) == []
 
@@ -573,6 +583,15 @@ def test_frozen_phase_paths(family, p, mode):
     trace = simulate_reconstruction(inst, clamp=mode == "clamp", optimal=mode == "optimal")
     assert [path.vertices for path, _ in trace.phases] == FROZEN_PHASES[family, p, mode]
     assert trace.recovered == inst.secret
+
+
+def test_greedy_stops_inside_a_small_budget():
+    # the winner is push 160 of the 117,940 rainbow paths; a full scan ran out
+    inst = deal("shadow", 24)
+    trace = simulate_reconstruction(inst, node_budget=1_000)
+    assert [path.vertices for path, _ in trace.phases] == FROZEN_PHASES["shadow", 24, "greedy"]
+    with pytest.raises(BudgetExceededError):
+        simulate_reconstruction(inst, node_budget=159)
 
 
 def recursive_enumerate_cycles(g, anchor, max_len=None):

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from racnshare import rainbow
 from racnshare import (
     BudgetExceededError,
     InvalidParameterError,
@@ -12,12 +14,14 @@ from racnshare import (
     automorphisms,
     build_graph,
     custom_graph,
+    distribute,
     edge_weights,
     exists_rainbow_path,
     family_coloring,
     is_rainbow_connected,
     max_new_color_path,
     path_graph,
+    simulate_reconstruction,
     vertex_orbits,
 )
 
@@ -350,15 +354,24 @@ class TestSingleSourceMatchesPairDFS:
         assert 1 in raised and 60 not in raised
 
 
+class _Stop(Exception):
+    pass
+
+
 def recursive_max_new_color_path(g, w, collected=frozenset(), node_budget=1_000_000,
-                                 max_gain=None):
+                                 max_gain=None, stop=False):
     """The recursive ``max_new_color_path`` the shared enumerator replaced.
 
     Scans every rainbow path and keeps the least ``(-gain, edges, vertices)``
     key; raises ``BudgetExceededError`` on push number ``node_budget + 1``.
+    With ``stop`` it ends the scan at the first path that gains
+    ``top = min(#uncollected, max_gain)`` classes on ``top`` edges.
     """
     if not set(w.classes) - set(collected):
         raise InvalidParameterError("every weight class is already collected")
+    top = len(set(w.classes) - collected)
+    if max_gain is not None:
+        top = min(top, max_gain)
     left = [node_budget]
     best = None
     path, weights, seen, used = [], [], set(), set()
@@ -371,6 +384,8 @@ def recursive_max_new_color_path(g, w, collected=frozenset(), node_budget=1_000_
         key = (-gain, len(weights), tuple(path))
         if best is None or key < best[0]:
             best = (key, list(path), list(weights))
+            if stop and gain == top == len(weights):
+                raise _Stop
 
     def dfs(a):
         for b in g.adjacency[a]:
@@ -393,9 +408,12 @@ def recursive_max_new_color_path(g, w, collected=frozenset(), node_budget=1_000_
             seen.remove(b)
             used.remove(wt)
 
-    for s in range(g.n):
-        path, weights, seen, used = [s], [], {s}, set()
-        dfs(s)
+    try:
+        for s in range(g.n):
+            path, weights, seen, used = [s], [], {s}, set()
+            dfs(s)
+    except _Stop:
+        pass
     if best is None or -best[0][0] <= 0:
         raise InvalidParameterError("no path adds an uncollected weight class")
     return RainbowPath(tuple(best[1]), tuple(best[2]))
@@ -435,8 +453,78 @@ class TestMaxNewColorPathMatchesRecursive:
         for budget in range(1, 200, 3):
             for collected in collected_sets(w):
                 got = outcome(max_new_color_path, g, w, collected, node_budget=budget)
-                want = outcome(recursive_max_new_color_path, g, w, collected, budget)
+                want = outcome(recursive_max_new_color_path, g, w, collected, budget, stop=True)
                 assert got == want, (budget, sorted(collected))
                 if want == "budget":
                     raised.add(budget)
         assert 1 in raised and 199 not in raised
+
+    def test_stop_is_the_full_scan_winner(self):
+        # the budget test above gives the oracle the same stop; unbudgeted,
+        # the stopped scan and the full one pick the same path
+        for family, p in FAMILY_CELLS[::3]:
+            g, _, w = family_coloring(family, p)
+            for collected in collected_sets(w):
+                for max_gain in (None, len(w.classes) - 1, 1):
+                    assert recursive_max_new_color_path(g, w, collected, max_gain=max_gain,
+                                                        stop=True) == \
+                        recursive_max_new_color_path(g, w, collected, max_gain=max_gain)
+
+
+def per_phase_greedy(g, w, clamp):
+    """Greedy reconstruction's phases as one full-scan oracle call per phase."""
+    classes = frozenset(w.classes)
+    max_gain = max(1, len(classes) - 1) if clamp else None
+    collected, phases = frozenset(), []
+    while collected != classes:
+        path = recursive_max_new_color_path(g, w, collected, max_gain=max_gain)
+        phases.append((path, frozenset(path.weights) - collected))
+        collected |= frozenset(path.weights)
+    return phases
+
+
+def random_labeled_graph(rng):
+    """A connected graph on 4 to 9 vertices with a random bijective labeling."""
+    n = rng.randint(4, 9)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}  # a random spanning tree
+    for _ in range(rng.randint(0, n)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return custom_graph(n, sorted(edges)), Labeling(tuple(rng.sample(range(1, n + 1), n)))
+
+
+class TestGreedyReconstructionMatchesPerPhaseScan:
+    @pytest.mark.parametrize(
+        "family,p",
+        [(f, p) for f in ("shadow", "splitting") for p in range(2, 9)]
+        + [("mycielski", p) for p in range(2, 7)],
+    )
+    def test_family_traces(self, family, p):
+        g, lab, w = family_coloring(family, p)
+        inst = distribute(g, lab, b"phase", seed=0)
+        for clamp in (False, True):
+            trace = simulate_reconstruction(inst, clamp=clamp)
+            assert list(trace.phases) == per_phase_greedy(g, w, clamp), clamp
+
+    def test_random_labeled_graphs(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            g, lab = random_labeled_graph(rng)
+            inst = distribute(g, lab, b"phase", seed=0)
+            for clamp in (False, True):
+                trace = simulate_reconstruction(inst, clamp=clamp)
+                assert list(trace.phases) == per_phase_greedy(g, inst.coloring, clamp), \
+                    (g.edges, lab.values, clamp)
+
+    def test_reads_the_paths_at_most_twice(self, monkeypatch):
+        reads = []
+        enumerate_paths = rainbow._rainbow_paths
+
+        def counted(*args):
+            reads.append(args)
+            return enumerate_paths(*args)
+
+        monkeypatch.setattr(rainbow, "_rainbow_paths", counted)
+        g, lab, _ = family_coloring("mycielski", 12)
+        trace = simulate_reconstruction(distribute(g, lab, b"phase", seed=0))
+        assert trace.phase_count == 6
+        assert len(reads) <= 2
