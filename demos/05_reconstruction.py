@@ -18,11 +18,11 @@ def walkthrough(family: str, p: int, **kwargs) -> None:
     print(f"{family} p={p}: threshold {inst.threshold} of {inst.threshold}")
     trace = simulate_reconstruction(inst, **kwargs)
     for i, (path, gained) in enumerate(trace.phases, start=1):
-        names = " -> ".join(g.display(v) for v in path.vertices)
+        names = " -> ".join(g.names[v] for v in path.vertices)
         print(f"  phase {i}: {names}")
         print(f"           weights {path.weights}, new classes {sorted(gained)}")
     print(f"  participants involved: "
-          f"{sorted(g.display(v) for v in trace.participants_used)}")
+          f"{sorted(g.names[v] for v in trace.participants_used)}")
     assert trace.recovered == inst.secret
     print(f"  recovered {trace.recovered.hex()} in {trace.phase_count} phase(s)\n")
 

@@ -16,12 +16,12 @@ start = {g.index_of("5"), g.index_of("7")}
 def show(policy: str) -> None:
     trace = simulate_dissemination(g, start, cycle_policy=policy)
     print(f"policy={policy}: informed at start "
-          f"{sorted(g.display(v) for v in trace.informed_start)}")
+          f"{sorted(g.names[v] for v in trace.informed_start)}")
     for i, rnd in enumerate(trace.rounds, start=1):
         routes = ", ".join(
-            "(" + "-".join(g.display(v) for v in c) + ")" for c in rnd.circuits
+            "(" + "-".join(g.names[v] for v in c) + ")" for c in rnd.circuits
         )
-        newly = sorted((g.display(v) for v in rnd.newly_informed), key=int)
+        newly = sorted((g.names[v] for v in rnd.newly_informed), key=int)
         print(f"  round {i} [{rnd.kind}]: {routes}")
         print(f"           newly informed: {newly}")
     print(f"  everyone informed after {trace.round_count} round(s)\n")

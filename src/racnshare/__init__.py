@@ -45,15 +45,11 @@ from .graphs import (
     custom_graph,
     degree_stats,
     diameter,
-    mycielski_of_path,
     path_graph,
-    shadow_of_path,
-    splitting_of_path,
 )
 from .labelings import (
     Labeling,
     WeightedColoring,
-    distinct_weight_count,
     edge_weights,
     family_coloring,
     family_labeling,
@@ -90,14 +86,12 @@ from .rainbow import (
 )
 from .serialize import (
     certificate_to_dict,
-    coloring_from_dict,
     coloring_to_dict,
     dissemination_trace_to_dict,
     export_dot,
     fixture_graph,
     graph_from_dict,
     graph_to_dict,
-    labeling_from_dict,
     labeling_to_dict,
     load_graph,
     reconstruction_trace_to_dict,
@@ -108,7 +102,6 @@ from .serialize import (
 from .sharing import (
     SecretConfig,
     Share,
-    gf_add,
     gf_eval,
     gf_inv,
     gf_mul,

@@ -8,6 +8,7 @@ Exit codes: 0 success; 1 a verification/validation failure under --strict;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,12 +20,7 @@ from .errors import (
     RacnShareError,
 )
 from .graphs import FAMILIES, build_graph, degree_stats, diameter
-from .labelings import (
-    distinct_weight_count,
-    edge_weights,
-    family_coloring,
-    family_labeling,
-)
+from .labelings import edge_weights, family_coloring, family_labeling
 from .rainbow import DEFAULT_MAX_N, is_rainbow_connected, racn_exact, racn_upper
 from .sharing import SecretConfig, Share, reconstruct, split
 
@@ -168,7 +164,7 @@ def _cmd_weights(args) -> int:
     elif args.format == "table":
         for u, v in sorted(w.weights):
             print(f"{g.names[u]:>4} -- {g.names[v]:<4} {w.weights[(u, v)]}")
-        print(f"distinct weights: {distinct_weight_count(w)}")
+        print(f"distinct weights: {len(w.classes)}")
     else:
         print(serialize.to_json(serialize.coloring_to_dict(w)))
     return 0
@@ -197,27 +193,20 @@ def _cmd_racn(args) -> int:
         print(serialize.to_json(serialize.certificate_to_dict(g, cert)))
         return 0
     lab = family_labeling(args.family, args.p)
-    bound = racn_upper(g, lab)
     print(serialize.to_json({
         "family": args.family,
         "p": args.p,
-        "upper_bound": bound,
-        "witness": {g.names[v]: lab.values[v] for v in range(g.n)},
+        "upper_bound": racn_upper(g, lab),
+        "witness": serialize.labeling_to_dict(g, lab)["labels"],
     }))
     return 0
 
 
 def _cmd_formulas(args) -> int:
     params = formulas.scheme_parameters(args.family, args.p)
-    print(serialize.to_json({
-        "family": params.family,
-        "p": params.p,
-        "n": params.n,
-        "k": params.k,
-        "m": params.m,
-        "rp": params.rp,
-        "lower_bound": formulas.theorem_lower_bound(args.family, args.p),
-    }))
+    out = dataclasses.asdict(params)
+    out["lower_bound"] = formulas.theorem_lower_bound(args.family, args.p)
+    print(serialize.to_json(out))
     return 0
 
 

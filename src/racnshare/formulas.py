@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import protocol
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import _require_p, build_graph, degree_stats
-from .labelings import distinct_weight_count, family_coloring, family_labeling
+from .labelings import family_coloring, family_labeling
 from .rainbow import DEFAULT_MAX_N, DEFAULT_NODE_BUDGET, racn_exact
 
 SCHEME_FAMILIES = ("shadow", "splitting", "mycielski")
@@ -242,7 +242,7 @@ def validate_family(
                 p=p,
                 n=g.n,
                 k_formula=k_closed_form(family, p),
-                k_observed=distinct_weight_count(coloring),
+                k_observed=len(coloring.classes),
                 m_formula=m_closed_form(family, p),
                 m_observed=m_obs,
                 rp_formula=rp_closed_form(family, p),

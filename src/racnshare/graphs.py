@@ -26,10 +26,6 @@ from .errors import InvalidParameterError, NotConnectedError
 
 FAMILIES = ("path", "shadow", "splitting", "mycielski")
 
-# A role tags what a vertex is in its family layout: ("x", t), ("y", t),
-# ("apex", None) or ("plain", None). t is 1-based.
-Role = tuple[str, "int | None"]
-
 Edge = tuple[int, int]
 
 
@@ -39,20 +35,21 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph with named, role-tagged vertices."""
+    """Immutable simple undirected graph; names[v] is vertex v's display name."""
 
     n: int
     edges: tuple[Edge, ...]
     names: tuple[str, ...]
-    roles: tuple[Role, ...]
     family: str | None = None
     p: int | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameterError("graph needs at least one vertex")
-        if len(self.names) != self.n or len(self.roles) != self.n:
-            raise InvalidParameterError("names/roles must cover every vertex")
+        if len(self.names) != self.n:
+            raise InvalidParameterError("names must cover every vertex")
+        if not all(type(name) is str for name in self.names) or len(set(self.names)) != self.n:
+            raise InvalidParameterError(f"vertex names must be distinct strings, got {list(self.names)!r}")
         seen = set()
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
@@ -73,17 +70,8 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edge_set
-
-    def display(self, v: int) -> str:
-        return self.names[v]
 
     def index_of(self, name: str) -> int:
         try:
@@ -109,15 +97,6 @@ def bfs_parents(g: Graph, sources) -> dict[int, int | None]:
     return parent
 
 
-def _family_names_roles(p: int, with_apex: bool) -> tuple[tuple[str, ...], tuple[Role, ...]]:
-    names = [f"x{t}" for t in range(1, p + 1)] + [f"y{t}" for t in range(1, p + 1)]
-    roles: list[Role] = [("x", t) for t in range(1, p + 1)] + [("y", t) for t in range(1, p + 1)]
-    if with_apex:
-        names.append("a")
-        roles.append(("apex", None))
-    return tuple(names), tuple(roles)
-
-
 def _require_p(p: int) -> None:
     if not isinstance(p, int) or p < 2:
         raise InvalidParameterError(f"p must be an integer >= 2, got {p!r}")
@@ -127,9 +106,8 @@ def path_graph(p: int) -> Graph:
     """The path P_p on vertices x_1..x_p."""
     _require_p(p)
     names = tuple(f"x{t}" for t in range(1, p + 1))
-    roles = tuple(("x", t) for t in range(1, p + 1))
     edges = tuple((t - 1, t) for t in range(1, p))
-    return Graph(p, edges, names, roles, family="path", p=p)
+    return Graph(p, edges, names, family="path", p=p)
 
 
 def _derived_of_path(family: str, p: int) -> Graph:
@@ -142,57 +120,35 @@ def _derived_of_path(family: str, p: int) -> Graph:
         edges += [(t - 1, t), (t - 1, p + t), (t, p + t - 1)]
         if family == "shadow":
             edges.append((p + t - 1, p + t))
+    names = [f"x{t}" for t in range(1, p + 1)] + [f"y{t}" for t in range(1, p + 1)]
     if apex:
         edges += [(p + t, 2 * p) for t in range(p)]
-    names, roles = _family_names_roles(p, with_apex=apex)
-    return Graph(2 * p + apex, tuple(sorted(edges)), names, roles, family=family, p=p)
-
-
-def shadow_of_path(p: int) -> Graph:
-    """Shadow of P_p: 2p vertices, 4(p-1) edges."""
-    return _derived_of_path("shadow", p)
-
-
-def splitting_of_path(p: int) -> Graph:
-    """Splitting graph of P_p: 2p vertices, 3(p-1) edges, no y-y edges."""
-    return _derived_of_path("splitting", p)
-
-
-def mycielski_of_path(p: int) -> Graph:
-    """Mycielskian of P_p: 2p+1 vertices (apex last), 4p-3 edges."""
-    return _derived_of_path("mycielski", p)
-
-
-_BUILDERS = {
-    "path": path_graph,
-    "shadow": shadow_of_path,
-    "splitting": splitting_of_path,
-    "mycielski": mycielski_of_path,
-}
+        names.append("a")
+    return Graph(2 * p + apex, tuple(sorted(edges)), tuple(names), family=family, p=p)
 
 
 def build_graph(family: str, p: int) -> Graph:
-    """Build a family graph by name; family must be one of FAMILIES."""
-    try:
-        builder = _BUILDERS[family]
-    except KeyError:
+    """The graph of ``family`` (one of FAMILIES) on P_p: the path itself (p
+    vertices, p-1 edges), its shadow (2p vertices, 4(p-1) edges), its
+    splitting graph (2p vertices, 3(p-1) edges, no y-y edges) or its
+    Mycielskian (2p+1 vertices with the apex last, 4p-3 edges)."""
+    if family not in FAMILIES:
         raise InvalidParameterError(
             f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}"
-        ) from None
-    return builder(p)
+        )
+    return path_graph(p) if family == "path" else _derived_of_path(family, p)
 
 
 def custom_graph(n: int, edges, names=None, family: str | None = None) -> Graph:
-    """An arbitrary graph (for fixtures); vertices are role-tagged plain."""
+    """An arbitrary graph (for fixtures); vertex v is named str(v + 1) by default."""
     names = tuple(names) if names is not None else tuple(str(v + 1) for v in range(n))
-    roles: tuple[Role, ...] = tuple(("plain", None) for _ in range(n))
     norm = tuple(sorted(_norm_edge(u, v) for u, v in edges))
-    return Graph(n, norm, names, roles, family=family)
+    return Graph(n, norm, names, family=family)
 
 
 def degree_stats(g: Graph) -> tuple[int, int]:
     """(minimum degree, maximum degree)."""
-    degs = [g.degree(v) for v in range(g.n)]
+    degs = [len(a) for a in g.adjacency]
     return min(degs), max(degs)
 
 

@@ -56,10 +56,6 @@ def edge_weights(g: Graph, labeling: Labeling) -> WeightedColoring:
     return WeightedColoring(weights=weights, classes=classes)
 
 
-def distinct_weight_count(coloring: WeightedColoring) -> int:
-    return len(coloring.classes)
-
-
 def shadow_labeling(p: int) -> Labeling:
     """Labeling of the shadow of P_p.
 

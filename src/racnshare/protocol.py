@@ -34,7 +34,6 @@ class SchemeInstance:
     """A dealt secret: one share per weight class, threshold = class count."""
 
     graph: Graph
-    labeling: Labeling
     coloring: WeightedColoring
     class_to_share: dict[int, Share]
     secret: bytes
@@ -64,7 +63,6 @@ def distribute(graph: Graph, labeling: Labeling, secret: bytes,
     class_to_share = dict(zip(classes, shares))
     return SchemeInstance(
         graph=graph,
-        labeling=labeling,
         coloring=coloring,
         class_to_share=class_to_share,
         secret=secret,

@@ -49,7 +49,7 @@ from .errors import (
     NotConnectedError,
 )
 from .graphs import Graph, degree_stats, diameter
-from .labelings import Labeling, WeightedColoring, distinct_weight_count, edge_weights
+from .labelings import Labeling, WeightedColoring, edge_weights
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_MAX_N = 8  # racn_exact's size cap
@@ -486,4 +486,4 @@ def racn_upper(g: Graph, labeling: Labeling) -> int | None:
     coloring = edge_weights(g, labeling)
     if not is_rainbow_connected(g, coloring):
         return None
-    return distinct_weight_count(coloring)
+    return len(coloring.classes)

@@ -1,12 +1,13 @@
-"""JSON round-trips, DOT export, and fixture loading.
+"""JSON output, DOT export, and fixture loading.
 
 JSON layouts:
 
 * graph:       {"family", "p", "n", "edges": [[i, j], ...], "roles": {"0": "x1", ...}}
+               ("roles" maps a vertex index to its display name; graphs round-trip)
 * labeling:    {"labels": {"x1": 1, ...}}  (keyed by display name)
 * coloring:    {"weights": [[i, j, w], ...], "classes": {"5": [[i, j], ...]}}
 * certificate: {"value", "witness", "exhaustive", "examined"}
-* share:       {"index", "payload_hex"}
+* share:       {"index", "payload_hex"}  (shares round-trip)
 
 `to_json` always sorts keys and uses a fixed indent, so identical inputs
 produce byte-identical output.
@@ -90,13 +91,6 @@ def labeling_to_dict(g: Graph, labeling: Labeling) -> dict:
     return {"labels": {g.names[v]: labeling.values[v] for v in range(g.n)}}
 
 
-def labeling_from_dict(g: Graph, d: dict) -> Labeling:
-    labels = d["labels"]
-    if set(labels) != set(g.names):
-        raise InvalidParameterError("labeling names do not match the graph")
-    return Labeling(tuple(labels[g.names[v]] for v in range(g.n)))
-
-
 def coloring_to_dict(w: WeightedColoring) -> dict:
     return {
         "weights": [[u, v, w.weights[(u, v)]] for u, v in sorted(w.weights)],
@@ -106,21 +100,12 @@ def coloring_to_dict(w: WeightedColoring) -> dict:
     }
 
 
-def coloring_from_dict(d: dict) -> WeightedColoring:
-    weights = {(u, v): wt for u, v, wt in d["weights"]}
-    classes = {
-        int(value): tuple(tuple(e) for e in edges)
-        for value, edges in d["classes"].items()
-    }
-    return WeightedColoring(weights=weights, classes=classes)
-
-
 # -- certificates and shares --------------------------------------------------
 
 def certificate_to_dict(g: Graph, cert: RacnCertificate) -> dict:
     return {
         "value": cert.value,
-        "witness": {g.names[v]: cert.witness.values[v] for v in range(g.n)},
+        "witness": labeling_to_dict(g, cert.witness)["labels"],
         "exhaustive": cert.exhaustive,
         "examined": cert.examined,
     }

@@ -40,10 +40,6 @@ def _row(a: int) -> bytes:
     return bytes(row)
 
 
-def gf_add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     return _row(a)[b]
 

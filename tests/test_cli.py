@@ -317,6 +317,18 @@ class TestSimulations:
                              "--informed", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("roles,names", [
+        ({"0": "a", "1": "a", "2": "b"}, "['a', 'a', 'b']"),
+        ({"0": 5, "1": "a", "2": "b"}, "[5, 'a', 'b']"),
+    ], ids=["duplicate", "numeric"])
+    def test_dissemination_bad_names_fixture_exits_2(self, capsys, tmp_path, roles, names):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "roles": roles}))
+        code, out, err = run(capsys, "simulate-dissemination", "--fixture", str(path),
+                             "--informed", "b")
+        assert (code, out, err) == (
+            2, "", f"error: vertex names must be distinct strings, got {names}\n")
+
     @pytest.mark.parametrize("informed", [",", ""])
     def test_dissemination_empty_informed_names_the_flag(self, capsys, informed):
         code, out, err = run(capsys, "simulate-dissemination", "--fixture", "fig1",

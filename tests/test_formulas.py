@@ -3,7 +3,6 @@ import pytest
 from racnshare import (
     InvalidParameterError,
     SCHEME_FAMILIES,
-    distinct_weight_count,
     family_coloring,
     k_closed_form,
     m_closed_form,
@@ -51,7 +50,7 @@ def test_mycielski_rp_is_half_p_rounded_up():
 def test_k_matches_constructed_class_count(family):
     for p in range(2, 11):
         _, _, coloring = family_coloring(family, p)
-        assert k_closed_form(family, p) == distinct_weight_count(coloring)
+        assert k_closed_form(family, p) == len(coloring.classes)
 
 
 def test_bound_vs_class_count_small_range():

@@ -11,10 +11,7 @@ from racnshare import (
     custom_graph,
     degree_stats,
     diameter,
-    mycielski_of_path,
     path_graph,
-    shadow_of_path,
-    splitting_of_path,
 )
 
 
@@ -34,90 +31,90 @@ def test_path_graph_smallest():
 def test_path_graph_degrees():
     g = path_graph(5)
     assert g.n == 5 and len(g.edges) == 4
-    assert sorted(g.degree(v) for v in range(5)) == [1, 1, 2, 2, 2]
+    assert sorted(len(a) for a in g.adjacency) == [1, 1, 2, 2, 2]
 
 
 @pytest.mark.parametrize("p", [0, 1, -3])
-@pytest.mark.parametrize(
-    "builder", [path_graph, shadow_of_path, splitting_of_path, mycielski_of_path]
-)
-def test_p_below_two_rejected(builder, p):
+@pytest.mark.parametrize("family", FAMILIES, ids=[
+    "path_graph", "shadow_of_path", "splitting_of_path", "mycielski_of_path"])
+def test_p_below_two_rejected(family, p):
     with pytest.raises(InvalidParameterError):
-        builder(p)
+        build_graph(family, p)
 
 
 def test_p_must_be_int():
     with pytest.raises(InvalidParameterError):
-        shadow_of_path(2.5)
+        build_graph("shadow", 2.5)
 
 
 def test_shadow_p2_is_4_cycle():
-    g = shadow_of_path(2)
+    g = build_graph("shadow", 2)
     assert g.n == 4 and len(g.edges) == 4
     assert nx.is_isomorphic(to_nx(g), nx.cycle_graph(4))
 
 
 def test_shadow_p4_degrees():
-    lo, hi = degree_stats(shadow_of_path(4))
+    lo, hi = degree_stats(build_graph("shadow", 4))
     assert (lo, hi) == (2, 4)
 
 
 def test_splitting_p3_pendant_copies():
-    g = splitting_of_path(3)
+    g = build_graph("splitting", 3)
     assert g.n == 6 and len(g.edges) == 6
     y1 = g.index_of("y1")
-    assert g.neighbors(y1) == (g.index_of("x2"),)
+    assert g.adjacency[y1] == (g.index_of("x2"),)
 
 
 def test_splitting_p2_edge_list():
-    g = splitting_of_path(2)
+    g = build_graph("splitting", 2)
     assert len(g.edges) == 3
-    named = {(g.display(u), g.display(v)) for u, v in g.edges}
+    named = {(g.names[u], g.names[v]) for u, v in g.edges}
     assert named == {("x1", "x2"), ("x1", "y2"), ("x2", "y1")}
 
 
 def test_splitting_min_degree_is_one():
     for p in range(2, 9):
-        lo, _ = degree_stats(splitting_of_path(p))
+        lo, _ = degree_stats(build_graph("splitting", p))
         assert lo == 1
 
 
 def test_mycielski_p2_is_5_cycle():
-    g = mycielski_of_path(2)
+    g = build_graph("mycielski", 2)
     assert g.n == 5 and len(g.edges) == 5
     assert nx.is_isomorphic(to_nx(g), nx.cycle_graph(5))
     assert degree_stats(g) == (2, 2)
 
 
 def test_mycielski_p3_max_degree():
-    g = mycielski_of_path(3)
+    g = build_graph("mycielski", 3)
     assert g.n == 7 and len(g.edges) == 9
-    assert g.degree(g.index_of("x2")) == 4
-    assert set(g.neighbors(g.index_of("x2"))) == {
+    assert len(g.adjacency[g.index_of("x2")]) == 4
+    assert set(g.adjacency[g.index_of("x2")]) == {
         g.index_of(n) for n in ("x1", "x3", "y1", "y3")
     }
 
 
 def test_mycielski_apex_degree():
     for p in range(2, 8):
-        g = mycielski_of_path(p)
-        assert g.degree(g.index_of("a")) == p
+        g = build_graph("mycielski", p)
+        assert len(g.adjacency[g.index_of("a")]) == p
 
 
 def test_mycielski_matches_networkx_construction():
     # networkx builds the same operation from the path; layouts differ,
     # so compare up to isomorphism
     for p in range(2, 7):
-        ours = to_nx(mycielski_of_path(p))
+        ours = to_nx(build_graph("mycielski", p))
         theirs = nx.mycielskian(nx.path_graph(p))
         assert nx.is_isomorphic(ours, theirs)
 
 
 @pytest.mark.parametrize("p", range(2, 11))
 def test_edge_counts(p):
-    assert len(shadow_of_path(p).edges) == 4 * (p - 1)
-    assert len(splitting_of_path(p).edges) == 3 * (p - 1)
-    assert len(mycielski_of_path(p).edges) == 4 * p - 3
+    assert len(path_graph(p).edges) == p - 1
+    assert len(build_graph("shadow", p).edges) == 4 * (p - 1)
+    assert len(build_graph("splitting", p).edges) == 3 * (p - 1)
+    assert len(build_graph("mycielski", p).edges) == 4 * p - 3
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -128,11 +125,10 @@ def test_families_connected(family, p):
 
 @pytest.mark.parametrize("family", ["shadow", "splitting", "mycielski"])
 def test_role_partition(family):
+    # x_1..x_5 first, then y_1..y_5, then the apex (Mycielskian only)
     g = build_graph(family, 5)
-    kinds = [r[0] for r in g.roles]
-    assert kinds.count("x") == 5
-    assert kinds.count("y") == 5
-    assert kinds.count("apex") == (1 if family == "mycielski" else 0)
+    apex = ("a",) if family == "mycielski" else ()
+    assert g.names == tuple(f"x{t}" for t in range(1, 6)) + tuple(f"y{t}" for t in range(1, 6)) + apex
 
 
 def test_build_graph_unknown_family():
@@ -146,10 +142,10 @@ def test_index_of_unknown_name():
 
 
 def test_display_names_1_based():
-    g = shadow_of_path(3)
-    assert g.display(0) == "x1"
-    assert g.display(3) == "y1"
-    assert g.display(5) == "y3"
+    g = build_graph("shadow", 3)
+    assert g.names[0] == "x1"
+    assert g.names[3] == "y1"
+    assert g.names[5] == "y3"
 
 
 def test_custom_graph_defaults():
@@ -171,8 +167,8 @@ def test_custom_graph_rejects_duplicate_edge():
 
 def test_diameter_examples():
     assert diameter(path_graph(6)) == 5
-    assert diameter(shadow_of_path(2)) == 2
-    assert diameter(mycielski_of_path(2)) == 2
+    assert diameter(build_graph("shadow", 2)) == 2
+    assert diameter(build_graph("mycielski", 2)) == 2
 
 
 def test_diameter_matches_networkx():

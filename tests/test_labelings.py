@@ -10,7 +10,6 @@ from racnshare import (
     InvalidParameterError,
     Labeling,
     build_graph,
-    distinct_weight_count,
     edge_weights,
     family_coloring,
     family_labeling,
@@ -170,11 +169,11 @@ def test_mycielski_p3_weight_overlap():
 @pytest.mark.parametrize("p", PS)
 def test_distinct_counts(p):
     _, _, w = family_coloring("shadow", p)
-    assert distinct_weight_count(w) == (p + 1 if p % 2 == 0 else p + 3)
+    assert len(w.classes) == (p + 1 if p % 2 == 0 else p + 3)
     _, _, w = family_coloring("splitting", p)
-    assert distinct_weight_count(w) == p + 1
+    assert len(w.classes) == p + 1
     _, _, w = family_coloring("mycielski", p)
-    assert distinct_weight_count(w) == 2 * p
+    assert len(w.classes) == 2 * p
 
 
 def test_shadow_p4_class_values():
@@ -217,5 +216,5 @@ def test_adjacent_edges_never_share_weight(family, p, seed):
     random.Random(seed).shuffle(perm)
     w = edge_weights(g, Labeling(tuple(perm)))
     for v in range(g.n):
-        incident = [w.weight(v, u) for u in g.neighbors(v)]
+        incident = [w.weight(v, u) for u in g.adjacency[v]]
         assert len(set(incident)) == len(incident)

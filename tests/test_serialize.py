@@ -6,8 +6,6 @@ from racnshare import (
     InvalidParameterError,
     SecretConfig,
     certificate_to_dict,
-    coloring_from_dict,
-    coloring_to_dict,
     dissemination_trace_to_dict,
     distribute,
     export_dot,
@@ -15,8 +13,6 @@ from racnshare import (
     fixture_graph,
     graph_from_dict,
     graph_to_dict,
-    labeling_from_dict,
-    labeling_to_dict,
     load_graph,
     racn_exact,
     reconstruction_trace_to_dict,
@@ -66,25 +62,16 @@ class TestGraphJson:
         g = graph_from_dict({"n": 2, "edges": [[0, 1]]})
         assert g.names == ("1", "2")
 
-
-class TestLabelingColoringJson:
-    def test_labeling_round_trip(self):
-        g, lab, _ = family_coloring("shadow", 3)
-        d = labeling_to_dict(g, lab)
-        assert d["labels"]["x1"] == 1
-        assert labeling_from_dict(g, d) == lab
-
-    def test_labeling_name_mismatch(self):
-        g, lab, _ = family_coloring("shadow", 3)
-        g2, _, _ = family_coloring("mycielski", 3)
-        with pytest.raises(InvalidParameterError):
-            labeling_from_dict(g2, labeling_to_dict(g, lab))
-
-    def test_coloring_round_trip(self):
-        _, _, w = family_coloring("splitting", 4)
-        back = coloring_from_dict(json.loads(to_json(coloring_to_dict(w))))
-        assert back.weights == w.weights
-        assert back.classes == w.classes
+    @pytest.mark.parametrize("roles", [
+        {"0": "a", "1": "a", "2": "b"},
+        {"0": 5, "1": "b", "2": "c"},
+        {"0": None, "1": "b", "2": "c"},
+        {"0": "2"},  # vertex 1 has no role, so it takes the default name "2"
+    ], ids=["duplicate", "numeric", "null", "clashes-with-default"])
+    def test_names_must_be_distinct_strings(self, roles):
+        d = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "roles": roles}
+        with pytest.raises(InvalidParameterError, match="distinct strings"):
+            graph_from_dict(d)
 
 
 class TestCertificateShareJson:

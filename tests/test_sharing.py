@@ -12,7 +12,6 @@ from racnshare import (
     LengthMismatchError,
     SecretConfig,
     Share,
-    gf_add,
     gf_eval,
     gf_inv,
     gf_mul,
@@ -44,11 +43,6 @@ class TestFieldArithmetic:
 
     def test_known_product(self):
         assert gf_mul(0x53, 0xCA) == 0x01
-
-    def test_add_is_xor(self):
-        assert gf_add(0b1010, 0b0110) == 0b1100
-        for a in range(0, 256, 17):
-            assert gf_add(a, a) == 0
 
     def test_inverses(self):
         for a in range(1, 256):
