@@ -13,19 +13,7 @@ weight class, and replay the reconstruction and dissemination phases::
     assert trace.recovered == b"attack at dawn"
 """
 
-from .errors import (
-    BudgetExceededError,
-    DuplicateIndexError,
-    InstanceTooLargeError,
-    InsufficientSharesError,
-    InvalidConfigError,
-    InvalidLabelingError,
-    InvalidParameterError,
-    LengthMismatchError,
-    NotConnectedError,
-    RacnShareError,
-    UnreachableParticipantsError,
-)
+from .errors import BudgetExceededError, InvalidParameterError, RacnShareError
 from .formulas import (
     SCHEME_FAMILIES,
     SchemeParameters,

@@ -13,12 +13,7 @@ import json
 import sys
 
 from . import formulas, protocol, serialize
-from .errors import (
-    BudgetExceededError,
-    InstanceTooLargeError,
-    InvalidParameterError,
-    RacnShareError,
-)
+from .errors import BudgetExceededError, InvalidParameterError, RacnShareError
 from .graphs import FAMILIES, build_graph, degree_stats, diameter
 from .labelings import edge_weights, family_coloring, family_labeling
 from .rainbow import DEFAULT_MAX_N, is_rainbow_connected, racn_exact, racn_upper
@@ -90,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
 
     s = sub.add_parser("split", help="split a secret into shares")
-    s.add_argument("--secret")
-    s.add_argument("--secret-hex")
+    secret = s.add_mutually_exclusive_group()
+    secret.add_argument("--secret")
+    secret.add_argument("--secret-hex")
     s.add_argument("--k", required=True, type=int)
     s.add_argument("--shares", required=True, type=int)
     s.add_argument("--seed", type=int, help="omit for private coefficients")
@@ -111,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate-reconstruction", help="multi-phase share gathering"
     )
     _add_instance_args(s)
-    s.add_argument("--secret", default="secret")
-    s.add_argument("--secret-hex")
+    secret = s.add_mutually_exclusive_group()
+    secret.add_argument("--secret", default="secret")
+    secret.add_argument("--secret-hex")
     s.add_argument("--seed", type=int, help="omit for private coefficients")
     policy = s.add_mutually_exclusive_group()
     policy.add_argument("--clamp", action="store_true")
@@ -289,6 +286,10 @@ def _cmd_simulate_reconstruction(args) -> int:
 
 
 def _cmd_simulate_dissemination(args) -> int:
+    if args.fixture and (args.family or args.p is not None):
+        print("simulate-dissemination: give --fixture or --family/--p, not both",
+              file=sys.stderr)
+        return 2
     if args.fixture:
         g = serialize.load_graph(args.fixture)
     elif args.family and args.p is not None:
@@ -337,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InstanceTooLargeError, BudgetExceededError) as err:
+    except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (RacnShareError, OSError, ValueError) as err:

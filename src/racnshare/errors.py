@@ -1,8 +1,11 @@
-"""Exception hierarchy for racnshare.
+"""The three errors racnshare raises, and the CLI exit code of each.
 
-Every error raised by the library derives from RacnShareError so callers
-(and the CLI exit-code mapping) can distinguish bad input, oversized
-instances, and exhausted search budgets.
+* ``InvalidParameterError`` -> exit 2: bad input, such as a parameter out
+  of range, a bad labeling or fixture, too few or clashing shares, or a
+  disconnected graph. It is also a ``ValueError``.
+* ``BudgetExceededError`` -> exit 3: a search budget or size cap ran out.
+* ``RacnShareError`` -> exit 2: the base of both, raised directly only when
+  a simulated reconstruction recovers the wrong secret.
 """
 
 
@@ -11,45 +14,8 @@ class RacnShareError(Exception):
 
 
 class InvalidParameterError(RacnShareError, ValueError):
-    """A structural parameter is out of range (for example p < 2)."""
-
-
-class InvalidLabelingError(RacnShareError, ValueError):
-    """A vertex labeling is not a bijection onto 1..n for its graph."""
-
-
-class NotConnectedError(RacnShareError):
-    """An operation requiring a connected graph was given a disconnected one."""
-
-
-class InstanceTooLargeError(RacnShareError):
-    """Exhaustive search was requested for a graph above the size cap."""
+    """The input is out of range, malformed or inconsistent."""
 
 
 class BudgetExceededError(RacnShareError):
-    """A search exceeded its node or enumeration budget."""
-
-
-class InvalidConfigError(RacnShareError, ValueError):
-    """A sharing configuration violates 1 <= threshold <= share_count <= 255,
-    or the secret is empty."""
-
-
-class InsufficientSharesError(RacnShareError):
-    """Fewer shares than the reconstruction threshold were supplied."""
-
-
-class DuplicateIndexError(RacnShareError):
-    """Two supplied shares carry the same evaluation index."""
-
-
-class LengthMismatchError(RacnShareError):
-    """Supplied share payloads do not all have the same length."""
-
-
-class UnreachableParticipantsError(RacnShareError):
-    """Dissemination cannot reach some participants (disconnected graph)."""
-
-    def __init__(self, unreachable):
-        self.unreachable = tuple(unreachable)
-        super().__init__(f"unreachable participants: {', '.join(map(str, self.unreachable))}")
+    """A search exceeded its budget, or an instance its size cap."""

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InvalidParameterError, NotConnectedError
+from .errors import InvalidParameterError
 
 FAMILIES = ("path", "shadow", "splitting", "mycielski")
 
@@ -155,7 +155,7 @@ def degree_stats(g: Graph) -> tuple[int, int]:
 def diameter(g: Graph) -> int:
     """Longest shortest-path distance; graph must be connected."""
     if not g.is_connected():
-        raise NotConnectedError("diameter is undefined for disconnected graphs")
+        raise InvalidParameterError("diameter is undefined for disconnected graphs")
     best = 0
     for s in range(g.n):
         parent = bfs_parents(g, (s,))

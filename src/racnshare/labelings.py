@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidLabelingError, InvalidParameterError
+from .errors import InvalidParameterError
 from .graphs import Edge, Graph, _require_p, build_graph
 
 
@@ -47,7 +47,7 @@ def verify_bijection(labeling: Labeling, n: int) -> bool:
 def edge_weights(g: Graph, labeling: Labeling) -> WeightedColoring:
     """Color every edge with the sum of its endpoint labels."""
     if not verify_bijection(labeling, g.n):
-        raise InvalidLabelingError(f"labeling is not a bijection onto 1..{g.n}")
+        raise InvalidParameterError(f"labeling is not a bijection onto 1..{g.n}")
     weights = {e: labeling.values[e[0]] + labeling.values[e[1]] for e in g.edges}
     grouped: dict[int, list[Edge]] = {}
     for e, w in weights.items():

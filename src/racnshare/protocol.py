@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetExceededError,
-    InvalidParameterError,
-    NotConnectedError,
-    RacnShareError,
-    UnreachableParticipantsError,
-)
+from .errors import BudgetExceededError, InvalidParameterError, RacnShareError
 from .graphs import Graph, bfs_parents
 from .labelings import Labeling, WeightedColoring, edge_weights
 from .rainbow import (_EXHAUSTED, DEFAULT_NODE_BUDGET, RainbowPath, _adjacency,
@@ -55,7 +49,7 @@ def distribute(graph: Graph, labeling: Labeling, secret: bytes,
                seed: int | None = None) -> SchemeInstance:
     """Split ``secret`` into k = #classes shares; class i-th smallest -> index i."""
     if not graph.is_connected():
-        raise NotConnectedError("graph is not connected")
+        raise InvalidParameterError("graph is not connected")
     coloring = edge_weights(graph, labeling)
     classes = sorted(coloring.classes)
     k = len(classes)
@@ -443,7 +437,8 @@ def simulate_dissemination(
         )
     unreachable = set(range(g.n)) - bfs_parents(g, informed0).keys()
     if unreachable:
-        raise UnreachableParticipantsError(tuple(sorted(unreachable)))
+        names = ", ".join(g.names[v] for v in sorted(unreachable))
+        raise InvalidParameterError(f"unreachable participants: {names}")
 
     informed = set(informed0)
     rounds: list[DisseminationRound] = []

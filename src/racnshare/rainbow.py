@@ -42,12 +42,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetExceededError,
-    InstanceTooLargeError,
-    InvalidParameterError,
-    NotConnectedError,
-)
+from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import Graph, degree_stats, diameter
 from .labelings import Labeling, WeightedColoring, edge_weights
 
@@ -204,7 +199,7 @@ def is_rainbow_connected(
     called on the pairs in that order.
     """
     if not g.is_connected():
-        raise NotConnectedError("graph is not connected")
+        raise InvalidParameterError("graph is not connected")
     adj = _adjacency(g, w)
     witnesses: dict[tuple[int, int], RainbowPath] = {}
     for u in range(g.n - 1):
@@ -448,11 +443,11 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
     witness is the lexicographically first of minimum value.
     """
     if g.n > max_n:
-        raise InstanceTooLargeError(
+        raise BudgetExceededError(
             f"n={g.n} exceeds max_n={max_n}; use racn_upper with a known labeling"
         )
     if not g.is_connected():
-        raise NotConnectedError("graph is not connected")
+        raise InvalidParameterError("graph is not connected")
 
     n = g.n
     labels_mask = (2 << n) - 2

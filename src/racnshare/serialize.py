@@ -3,7 +3,8 @@
 JSON layouts:
 
 * graph:       {"family", "p", "n", "edges": [[i, j], ...], "roles": {"0": "x1", ...}}
-               ("roles" maps a vertex index to its display name; graphs round-trip)
+               ("roles" maps a vertex index to its display name; graphs round-trip;
+               a family file's edges and roles must be its construction's)
 * labeling:    {"labels": {"x1": 1, ...}}  (keyed by display name)
 * coloring:    {"weights": [[i, j, w], ...], "classes": {"5": [[i, j], ...]}}
 * certificate: {"value", "witness", "exhaustive", "examined"}
@@ -69,6 +70,9 @@ def graph_from_dict(d: dict) -> Graph:
         raise InvalidParameterError(f"expected a JSON object, got {d!r}")
     family = d.get("family")
     p = d.get("p")
+    roles = d.get("roles") or {}
+    if not isinstance(roles, dict):
+        raise InvalidParameterError(f"expected 'roles' to be an object, got {roles!r}")
     if family in FAMILIES and p is not None:
         g = build_graph(family, p)
         file_edges = sorted(tuple(sorted(e)) for e in _edges(d))
@@ -76,11 +80,12 @@ def graph_from_dict(d: dict) -> Graph:
             raise InvalidParameterError(
                 f"stored edges do not match the {family} construction at p={p}"
             )
+        for v, name in enumerate(g.names):
+            if roles.get(str(v), name) != name:
+                raise InvalidParameterError(f"vertex {v} is named {roles[str(v)]!r} in the file "
+                                            f"but {name!r} in the {family} construction at p={p}")
         return g
     n = _field(d, "n", int)
-    roles = d.get("roles") or {}
-    if not isinstance(roles, dict):
-        raise InvalidParameterError(f"expected 'roles' to be an object, got {roles!r}")
     names = [roles.get(str(v), str(v + 1)) for v in range(n)]
     return custom_graph(n, _edges(d), names=names, family=family)
 

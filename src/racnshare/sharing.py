@@ -19,12 +19,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .errors import (
-    DuplicateIndexError,
-    InsufficientSharesError,
-    InvalidConfigError,
-    LengthMismatchError,
-)
+from .errors import InvalidParameterError
 
 _POLY = 0x11B
 
@@ -70,9 +65,9 @@ class SecretConfig:
     def __post_init__(self) -> None:
         k, n, seed = self.threshold, self.share_count, self.seed
         if not (isinstance(k, int) and isinstance(n, int) and isinstance(seed, (int, type(None)))):
-            raise InvalidConfigError("threshold, share_count, seed must be integers")
+            raise InvalidParameterError("threshold, share_count, seed must be integers")
         if not 1 <= k <= n <= 255:
-            raise InvalidConfigError(
+            raise InvalidParameterError(
                 f"need 1 <= threshold <= share_count <= 255, got k={k}, n={n}"
             )
 
@@ -84,7 +79,7 @@ class Share:
 
     def __post_init__(self) -> None:
         if not 1 <= self.index <= 255:
-            raise InvalidConfigError(f"share index must be in 1..255, got {self.index}")
+            raise InvalidParameterError(f"share index must be in 1..255, got {self.index}")
 
 
 def split(secret: bytes, cfg: SecretConfig) -> list[Share]:
@@ -95,7 +90,7 @@ def split(secret: bytes, cfg: SecretConfig) -> list[Share]:
     secret do not depend on how earlier bytes consumed randomness.
     """
     if not isinstance(secret, (bytes, bytearray)) or len(secret) == 0:
-        raise InvalidConfigError("secret must be a nonempty byte string")
+        raise InvalidParameterError("secret must be a nonempty byte string")
     secret = bytes(secret)
     payloads = [bytearray(len(secret)) for _ in range(cfg.share_count)]
     width = cfg.threshold - 1
@@ -117,15 +112,15 @@ def split(secret: bytes, cfg: SecretConfig) -> list[Share]:
 def reconstruct(shares: list[Share], k: int) -> bytes:
     """Lagrange-interpolate at 0 using all given shares (at least k)."""
     if k < 1:
-        raise InvalidConfigError(f"threshold k must be >= 1, got {k}")
+        raise InvalidParameterError(f"threshold k must be >= 1, got {k}")
     if len(shares) < k:
-        raise InsufficientSharesError(f"got {len(shares)} shares, need at least {k}")
+        raise InvalidParameterError(f"got {len(shares)} shares, need at least {k}")
     indexes = [s.index for s in shares]
     if len(set(indexes)) != len(indexes):
-        raise DuplicateIndexError("share indexes must be distinct")
+        raise InvalidParameterError("share indexes must be distinct")
     length = len(shares[0].payload)
     if any(len(s.payload) != length for s in shares):
-        raise LengthMismatchError("share payloads differ in length")
+        raise InvalidParameterError("share payloads differ in length")
     # basis[i] = prod_{j != i} x_j / (x_j + x_i), evaluated at x = 0
     basis = []
     for i, xi in enumerate(indexes):

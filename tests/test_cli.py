@@ -179,6 +179,16 @@ class TestShares:
         assert code == 2
         assert "--secret" in err
 
+    @pytest.mark.parametrize("command", [
+        ("split", "--k", "1", "--shares", "1"),
+        ("simulate-reconstruction", "--family", "shadow", "--p", "3"),
+    ], ids=["split", "simulate-reconstruction"])
+    def test_both_secret_flags_exit_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--secret", "x", "--secret-hex", "00"])
+        assert exc.value.code == 2
+        assert "--secret-hex: not allowed with argument --secret" in capsys.readouterr().err
+
     def test_bad_share_syntax(self, capsys):
         code, _, err = run(capsys, "reconstruct", "--share", "notahex", "--k", "1")
         assert code == 2
@@ -285,6 +295,42 @@ class TestSimulations:
         code, _, err = run(capsys, "simulate-dissemination", "--informed", "1")
         assert code == 2
         assert "--fixture" in err
+
+    @pytest.mark.parametrize("graph", [("--family", "shadow"), ("--p", "3"),
+                                       ("--family", "shadow", "--p", "3")],
+                             ids=["family", "p", "family-and-p"])
+    def test_dissemination_fixture_and_family_exit_2(self, capsys, graph):
+        code, out, err = run(capsys, "simulate-dissemination", "--fixture", "fig1", *graph,
+                             "--informed", "5")
+        assert (code, out, err) == (
+            2, "", "simulate-dissemination: give --fixture or --family/--p, not both\n")
+
+    @pytest.mark.parametrize("roles,unreachable", [
+        ({"0": "a", "1": "b", "2": "c", "3": "d"}, "c, d"),
+        ({}, "3, 4"),
+    ], ids=["roles", "default-names"])
+    def test_dissemination_disconnected_fixture_names_unreachable(
+            self, capsys, tmp_path, roles, unreachable):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]], "roles": roles}))
+        informed = "a" if roles else "1"
+        code, out, err = run(capsys, "simulate-dissemination", "--fixture", str(path),
+                             "--informed", informed)
+        assert (code, out, err) == (2, "", f"error: unreachable participants: {unreachable}\n")
+
+    def test_dissemination_family_fixture_with_other_roles_exits_2(self, capsys, tmp_path):
+        built = tmp_path / "built.json"
+        built.write_text(run(capsys, "build", "--family", "shadow", "--p", "2")[1])
+        d = run_json(capsys, "simulate-dissemination", "--fixture", str(built), "--informed", "x1")
+        assert d["informed_start"] == ["x1"]
+        renamed = json.loads(built.read_text())
+        renamed["roles"] = {"0": "a", "1": "b", "2": "c", "3": "d"}
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(renamed))
+        code, out, err = run(capsys, "simulate-dissemination", "--fixture", str(path),
+                             "--informed", "a")
+        assert (code, out, err) == (2, "", "error: vertex 0 is named 'a' in the file "
+                                           "but 'x1' in the shadow construction at p=2\n")
 
     def test_dissemination_p_0_names_p(self, capsys):
         code, out, err = run(capsys, "simulate-dissemination", "--family", "shadow",

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from racnshare import (
     FAMILIES,
     InvalidParameterError,
-    NotConnectedError,
     build_graph,
     custom_graph,
     degree_stats,
@@ -181,7 +180,7 @@ def test_diameter_matches_networkx():
 def test_diameter_requires_connected():
     g = custom_graph(4, [(0, 1), (2, 3)])
     assert not g.is_connected()
-    with pytest.raises(NotConnectedError):
+    with pytest.raises(InvalidParameterError):
         diameter(g)
 
 

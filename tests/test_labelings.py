@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racnshare import (
-    InvalidLabelingError,
     InvalidParameterError,
     Labeling,
     build_graph,
@@ -185,9 +184,9 @@ def test_shadow_p4_class_values():
 
 def test_edge_weights_rejects_non_bijection():
     g = build_graph("shadow", 2)
-    with pytest.raises(InvalidLabelingError):
+    with pytest.raises(InvalidParameterError):
         edge_weights(g, Labeling((1, 2, 3, 5)))
-    with pytest.raises(InvalidLabelingError):
+    with pytest.raises(InvalidParameterError):
         edge_weights(g, Labeling((1, 2, 3)))
 
 

@@ -8,12 +8,9 @@ from racnshare import (
     BudgetExceededError,
     DisseminationRound,
     DisseminationTrace,
-    InstanceTooLargeError,
-    InvalidConfigError,
     InvalidParameterError,
     Labeling,
     RacnShareError,
-    UnreachableParticipantsError,
     build_graph,
     custom_graph,
     distribute,
@@ -66,7 +63,7 @@ class TestDistribute:
 
     def test_empty_secret_rejected(self):
         g, lab, _ = family_coloring("shadow", 2)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidParameterError):
             distribute(g, lab, b"")
 
 
@@ -317,9 +314,15 @@ class TestDissemination:
 
     def test_disconnected_reports_unreachable(self):
         g = custom_graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(UnreachableParticipantsError) as exc:
+        with pytest.raises(InvalidParameterError) as exc:
             simulate_dissemination(g, {0})
-        assert exc.value.unreachable == (2, 3)
+        assert str(exc.value) == "unreachable participants: 3, 4"
+
+    def test_disconnected_reports_unreachable_by_name(self):
+        g = custom_graph(4, [(0, 1), (2, 3)], names=("a", "b", "c", "d"))
+        with pytest.raises(InvalidParameterError) as exc:
+            simulate_dissemination(g, {0})
+        assert str(exc.value) == "unreachable participants: c, d"
 
     def test_rejects_bad_inputs(self):
         g = fixture_graph()
@@ -356,11 +359,7 @@ class TestDissemination:
 
 
 def recursive_signatures(g, coloring, node_budget):
-    """The recursive ``_rainbow_path_signatures`` the shared enumerator replaced.
-
-    It raised ``InstanceTooLargeError`` where the enumerator now raises
-    ``BudgetExceededError``; the oracle keeps the old error.
-    """
+    """The recursive ``_rainbow_path_signatures`` the shared enumerator replaced."""
     classes = sorted(coloring.classes)
     class_bit = {c: 1 << i for i, c in enumerate(classes)}
     found = {}
@@ -377,7 +376,7 @@ def recursive_signatures(g, coloring, node_budget):
                 continue
             steps += 1
             if steps > node_budget:
-                raise InstanceTooLargeError("rainbow-path cover search exceeded its step budget")
+                raise BudgetExceededError("rainbow-path cover search exceeded its step budget")
             path.append(b)
             used.add(wt)
             nm = cmask | class_bit[wt]
@@ -412,7 +411,7 @@ class TestSignaturesMatchRecursive:
         for budget in range(1, 200, 3):
             try:
                 recursive_signatures(g, coloring, budget)
-            except InstanceTooLargeError:
+            except BudgetExceededError:
                 raised.add(budget)
                 with pytest.raises(BudgetExceededError):
                     _rainbow_path_signatures(g, coloring, budget)

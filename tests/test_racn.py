@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racnshare import (
-    InstanceTooLargeError,
+    BudgetExceededError,
     Labeling,
     build_graph,
     custom_graph,
@@ -192,9 +192,9 @@ def test_certificate_is_a_witness(family, p):
 
 
 def test_too_large_raises():
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(BudgetExceededError):
         racn_exact(build_graph("shadow", 5))
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(BudgetExceededError):
         racn_exact(build_graph("shadow", 2), max_n=3)
 
 

@@ -8,7 +8,6 @@ from racnshare import (
     BudgetExceededError,
     InvalidParameterError,
     Labeling,
-    NotConnectedError,
     RainbowPath,
     WeightedColoring,
     automorphisms,
@@ -132,7 +131,7 @@ class TestIsRainbowConnected:
         w = WeightedColoring(
             weights={(0, 1): 3, (2, 3): 7}, classes={3: ((0, 1),), 7: ((2, 3),)}
         )
-        with pytest.raises(NotConnectedError):
+        with pytest.raises(InvalidParameterError):
             is_rainbow_connected(g, w)
 
     def test_refining_a_class_preserves_connectivity(self):

@@ -5,6 +5,7 @@ import pytest
 from racnshare import (
     InvalidParameterError,
     SecretConfig,
+    build_graph,
     certificate_to_dict,
     dissemination_trace_to_dict,
     distribute,
@@ -45,6 +46,19 @@ class TestGraphJson:
         d["edges"] = d["edges"][:-1]
         with pytest.raises(InvalidParameterError):
             graph_from_dict(d)
+
+    def test_family_roles_must_match_the_construction(self):
+        d = {"family": "shadow", "p": 2, "n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]],
+             "roles": {"0": "a", "1": "b", "2": "c", "3": "d"}}
+        with pytest.raises(InvalidParameterError) as exc:
+            graph_from_dict(d)
+        assert str(exc.value) == (
+            "vertex 0 is named 'a' in the file but 'x1' in the shadow construction at p=2")
+        d["roles"] = {"0": "x1", "2": "x2"}
+        with pytest.raises(InvalidParameterError, match="vertex 2 is named 'x2' in the file but 'y1'"):
+            graph_from_dict(d)
+        d["roles"] = {"1": "x2"}  # a role the file leaves out keeps the construction's name
+        assert graph_from_dict(d) == build_graph("shadow", 2)
 
     def test_custom_graph_round_trip(self):
         d = {

@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racnshare import (
-    DuplicateIndexError,
-    InsufficientSharesError,
-    InvalidConfigError,
-    LengthMismatchError,
+    InvalidParameterError,
     SecretConfig,
     Share,
     gf_eval,
@@ -78,22 +75,22 @@ class TestConfig:
         "k,n", [(0, 5), (6, 5), (1, 0), (-1, 3), (1, 256), (300, 300)]
     )
     def test_rejects_bad_counts(self, k, n):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidParameterError):
             SecretConfig(threshold=k, share_count=n)
 
     def test_rejects_non_integers(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidParameterError):
             SecretConfig(threshold=2.0, share_count=5)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidParameterError):
             SecretConfig(threshold=2, share_count=5, seed="x")
 
     def test_seed_defaults_to_none(self):
         assert SecretConfig(threshold=2, share_count=3).seed is None
 
     def test_share_index_range(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidParameterError):
             Share(index=0, payload=b"a")
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidParameterError):
             Share(index=256, payload=b"a")
 
 
@@ -139,34 +136,34 @@ class TestSplitReconstruct:
             assert s4.payload[:2] == s2.payload
 
     def test_empty_secret_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidParameterError):
             split(b"", SecretConfig(2, 3))
 
     def test_non_bytes_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidParameterError):
             split("text", SecretConfig(2, 3))
 
     def test_insufficient_shares(self):
         shares = split(b"hi", SecretConfig(3, 5))
-        with pytest.raises(InsufficientSharesError):
+        with pytest.raises(InvalidParameterError, match="got 2 shares, need at least 3"):
             reconstruct(shares[:2], 3)
 
     def test_duplicate_index(self):
         shares = split(b"hi", SecretConfig(2, 4))
-        with pytest.raises(DuplicateIndexError):
+        with pytest.raises(InvalidParameterError, match="share indexes must be distinct"):
             reconstruct([shares[0], shares[0]], 2)
 
     def test_length_mismatch(self):
         s1, s2 = split(b"hi", SecretConfig(2, 2))
         broken = Share(index=s2.index, payload=s2.payload + b"\x00")
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InvalidParameterError, match="share payloads differ in length"):
             reconstruct([s1, broken], 2)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_threshold_below_one_rejected(self, k):
         shares = split(b"hi", SecretConfig(2, 3))
         for given in ([], shares[:1], shares):
-            with pytest.raises(InvalidConfigError, match=f"k must be >= 1, got {k}"):
+            with pytest.raises(InvalidParameterError, match=f"k must be >= 1, got {k}"):
                 reconstruct(given, k)
 
     def test_wrong_share_reconstructs_wrong(self):
