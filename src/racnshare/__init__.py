@@ -16,6 +16,7 @@ weight class, and replay the reconstruction and dissemination phases::
 from .errors import BudgetExceededError, InvalidParameterError, RacnShareError
 from .formulas import (
     SCHEME_FAMILIES,
+    FormulaCheck,
     SchemeParameters,
     ValidationReport,
     ValidationRow,
@@ -56,7 +57,6 @@ from .protocol import (
     empirical_m,
     empirical_rp,
     enumerate_cycles,
-    is_chordless,
     simulate_dissemination,
     simulate_reconstruction,
 )
@@ -90,9 +90,6 @@ from .serialize import (
 from .sharing import (
     SecretConfig,
     Share,
-    gf_eval,
-    gf_inv,
-    gf_mul,
     reconstruct,
     split,
 )

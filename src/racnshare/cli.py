@@ -33,10 +33,17 @@ def _parse_p_range(text: str) -> range:
     return range(a, b + 1)
 
 
+def _add_secret_args(sub):
+    secret = sub.add_mutually_exclusive_group()
+    secret.add_argument("--secret")
+    secret.add_argument("--secret-hex")
+
+
 def _secret_bytes(args) -> bytes:
-    if getattr(args, "secret_hex", None):
+    """``--secret-hex`` if given, else ``--secret``, else the text ``secret``."""
+    if args.secret_hex is not None:
         return bytes.fromhex(args.secret_hex)
-    return args.secret.encode("utf-8")
+    return ("secret" if args.secret is None else args.secret).encode("utf-8")
 
 
 def _add_instance_args(sub, families=FAMILIES):
@@ -85,9 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
 
     s = sub.add_parser("split", help="split a secret into shares")
-    secret = s.add_mutually_exclusive_group()
-    secret.add_argument("--secret")
-    secret.add_argument("--secret-hex")
+    _add_secret_args(s)
     s.add_argument("--k", required=True, type=int)
     s.add_argument("--shares", required=True, type=int)
     s.add_argument("--seed", type=int, help="omit for private coefficients")
@@ -107,9 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate-reconstruction", help="multi-phase share gathering"
     )
     _add_instance_args(s)
-    secret = s.add_mutually_exclusive_group()
-    secret.add_argument("--secret", default="secret")
-    secret.add_argument("--secret-hex")
+    _add_secret_args(s)
     s.add_argument("--seed", type=int, help="omit for private coefficients")
     policy = s.add_mutually_exclusive_group()
     policy.add_argument("--clamp", action="store_true")
@@ -201,9 +204,7 @@ def _cmd_racn(args) -> int:
 
 def _cmd_formulas(args) -> int:
     params = formulas.scheme_parameters(args.family, args.p)
-    out = dataclasses.asdict(params)
-    out["lower_bound"] = formulas.theorem_lower_bound(args.family, args.p)
-    print(serialize.to_json(out))
+    print(serialize.to_json(dataclasses.asdict(params)))
     return 0
 
 
@@ -214,25 +215,8 @@ def _cmd_validate(args) -> int:
         for line in report.mismatches:
             print(f"MISMATCH {line}")
     else:
-        rows = []
-        for r in report.rows:
-            rows.append({
-                "p": r.p,
-                "n": r.n,
-                "k": {"formula": r.k_formula, "observed": r.k_observed},
-                "m": {"formula": r.m_formula, "observed": r.m_observed},
-                "rp": {"formula": r.rp_formula, "observed": r.rp_observed},
-                "lower_bound": r.lower_bound,
-                "racn_exact": r.racn_value,
-                "y_pair_sums": list(r.y_pair_sums),
-                "mismatches": list(r.mismatches),
-                "gaps": list(r.gaps),
-            })
-        print(serialize.to_json({
-            "family": report.family,
-            "rows": rows,
-            "ok": report.ok,
-        }))
+        rows = [{**dataclasses.asdict(r), "mismatches": r.mismatches} for r in report.rows]
+        print(serialize.to_json({"family": report.family, "rows": rows, "ok": report.ok}))
     return 1 if args.strict and not report.ok else 0
 
 

@@ -93,6 +93,7 @@ class SchemeParameters:
     k: int
     m: int
     rp: int
+    lower_bound: int
 
 
 def scheme_parameters(family: str, p: int) -> SchemeParameters:
@@ -104,49 +105,48 @@ def scheme_parameters(family: str, p: int) -> SchemeParameters:
         k=k_closed_form(family, p),
         m=m_closed_form(family, p),
         rp=rp_closed_form(family, p),
+        lower_bound=theorem_lower_bound(family, p),
     )
 
 
 @dataclass(frozen=True)
-class ValidationRow:
-    """One p-value of a validation sweep; None marks a skipped computation."""
+class FormulaCheck:
+    """A closed-form value beside the one search found; None marks a skipped search."""
 
-    family: str
+    formula: int
+    observed: int | None
+
+
+@dataclass(frozen=True)
+class ValidationRow:
+    """One p-value of a validation sweep, keyed as its JSON row; None marks a skipped search."""
+
     p: int
     n: int
-    k_formula: int
-    k_observed: int
-    m_formula: int
-    m_observed: int | None
-    rp_formula: int
-    rp_observed: int | None
+    k: FormulaCheck
+    m: FormulaCheck
+    rp: FormulaCheck
     lower_bound: int
-    racn_value: int | None
+    racn_exact: int | None
     y_pair_sums: tuple[int, ...] = ()
     gaps: tuple[str, ...] = ()
 
     @property
     def mismatches(self) -> tuple[str, ...]:
-        out = []
-        if self.k_observed != self.k_formula:
-            out.append(f"k: formula {self.k_formula} != observed {self.k_observed}")
-        if self.m_observed is not None and self.m_observed != self.m_formula:
-            out.append(f"m: formula {self.m_formula} != observed {self.m_observed}")
-        if self.rp_observed is not None and self.rp_observed != self.rp_formula:
-            out.append(f"rp: formula {self.rp_formula} != observed {self.rp_observed}")
-        if self.lower_bound > self.k_observed:
+        out = [
+            f"{name}: formula {c.formula} != observed {c.observed}"
+            for name, c in (("k", self.k), ("m", self.m), ("rp", self.rp))
+            if c.observed is not None and c.observed != c.formula
+        ]
+        if self.lower_bound > self.k.observed:
             out.append(
                 f"lower bound {self.lower_bound} exceeds achieved color count "
-                f"{self.k_observed}"
+                f"{self.k.observed}"
             )
-        if self.racn_value is not None and self.racn_value != self.k_formula:
-            out.append(
-                f"racn: exact {self.racn_value} != formula {self.k_formula}"
-            )
-        if self.racn_value is not None and self.lower_bound > self.racn_value:
-            out.append(
-                f"lower bound {self.lower_bound} exceeds exact racn {self.racn_value}"
-            )
+        if self.racn_exact is not None and self.racn_exact != self.k.formula:
+            out.append(f"racn: exact {self.racn_exact} != formula {self.k.formula}")
+        if self.racn_exact is not None and self.lower_bound > self.racn_exact:
+            out.append(f"lower bound {self.lower_bound} exceeds exact racn {self.racn_exact}")
         return tuple(out)
 
     @property
@@ -166,12 +166,12 @@ class ValidationReport:
     @property
     def mismatches(self) -> tuple[str, ...]:
         return tuple(
-            f"{r.family} p={r.p}: {msg}" for r in self.rows for msg in r.mismatches
+            f"{self.family} p={r.p}: {msg}" for r in self.rows for msg in r.mismatches
         )
 
     @property
     def gaps(self) -> tuple[str, ...]:
-        return tuple(f"{r.family} p={r.p}: {g}" for r in self.rows for g in r.gaps)
+        return tuple(f"{self.family} p={r.p}: {g}" for r in self.rows for g in r.gaps)
 
     def to_table(self) -> str:
         head = (
@@ -180,19 +180,17 @@ class ValidationReport:
         )
         lines = [f"family: {self.family}", head, "-" * len(head)]
 
-        def pair(formula: int, observed: int | None) -> str:
-            if observed is None:
-                return f"{formula}/?"
-            mark = "" if observed == formula else "!"
-            return f"{formula}/{observed}{mark}"
+        def pair(c: FormulaCheck) -> str:
+            if c.observed is None:
+                return f"{c.formula}/?"
+            mark = "" if c.observed == c.formula else "!"
+            return f"{c.formula}/{c.observed}{mark}"
 
         for r in self.rows:
-            racn = "-" if r.racn_value is None else str(r.racn_value)
+            racn = "-" if r.racn_exact is None else str(r.racn_exact)
             notes = "; ".join(r.mismatches + r.gaps) or "ok"
             lines.append(
-                f"{r.p:>3} {r.n:>3} {pair(r.k_formula, r.k_observed):>7} "
-                f"{pair(r.m_formula, r.m_observed):>7} "
-                f"{pair(r.rp_formula, r.rp_observed):>7} "
+                f"{r.p:>3} {r.n:>3} {pair(r.k):>7} {pair(r.m):>7} {pair(r.rp):>7} "
                 f"{r.lower_bound:>5} {racn:>5}  {notes}"
             )
         lines.append("cells are formula/observed; '!' marks a disagreement")
@@ -214,7 +212,7 @@ def validate_family(
     """
     rows = []
     for p in p_range:
-        _check(family, p)
+        formula = scheme_parameters(family, p)
         g, lab, coloring = family_coloring(family, p)
         gaps: list[str] = []
         try:
@@ -238,17 +236,13 @@ def validate_family(
             )
         rows.append(
             ValidationRow(
-                family=family,
                 p=p,
                 n=g.n,
-                k_formula=k_closed_form(family, p),
-                k_observed=len(coloring.classes),
-                m_formula=m_closed_form(family, p),
-                m_observed=m_obs,
-                rp_formula=rp_closed_form(family, p),
-                rp_observed=rp_obs,
-                lower_bound=theorem_lower_bound(family, p),
-                racn_value=racn_value,
+                k=FormulaCheck(formula.k, len(coloring.classes)),
+                m=FormulaCheck(formula.m, m_obs),
+                rp=FormulaCheck(formula.rp, rp_obs),
+                lower_bound=formula.lower_bound,
+                racn_exact=racn_value,
                 y_pair_sums=y_pair_sums,
                 gaps=tuple(gaps),
             )

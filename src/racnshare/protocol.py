@@ -370,18 +370,6 @@ def enumerate_cycles(
     return [c for c, _ in _cycles(g, max_len, False, cycle_budget) if not anchor.isdisjoint(c)]
 
 
-def is_chordless(g: Graph, cycle: tuple[int, ...]) -> bool:
-    """True when no two non-consecutive cycle vertices are adjacent."""
-    k = len(cycle)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if (j - i) % k in (1, k - 1):
-                continue
-            if g.has_edge(cycle[i], cycle[j]):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class DisseminationRound:
     kind: str  # "cycles" or "fallback"

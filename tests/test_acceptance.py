@@ -27,8 +27,6 @@ from racnshare import (
     empirical_rp,
     family_coloring,
     fixture_graph,
-    gf_eval,
-    gf_mul,
     is_rainbow_connected,
     k_closed_form,
     m_closed_form,
@@ -42,6 +40,7 @@ from racnshare import (
     validate_family,
 )
 from racnshare.cli import main as cli_main
+from racnshare.sharing import gf_eval, gf_mul
 
 FAMILIES = ("shadow", "splitting", "mycielski")
 

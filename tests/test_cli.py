@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import sys
 
 import pytest
 
-from racnshare import cli
+from racnshare import FormulaCheck, SchemeParameters, ValidationRow, cli
 from racnshare.cli import main
 
 
@@ -102,6 +103,10 @@ class TestFormulasValidate:
         d = run_json(capsys, "formulas", "--family", "mycielski", "--p", "3")
         assert (d["k"], d["m"], d["rp"], d["lower_bound"]) == (6, 7, 2, 7)
 
+    def test_formulas_keys_are_scheme_parameters_fields(self, capsys):
+        d = run_json(capsys, "formulas", "--family", "shadow", "--p", "4")
+        assert set(d) == {f.name for f in dataclasses.fields(SchemeParameters)}
+
     def test_validate_table_reports_mismatches(self, capsys):
         code, out, _ = run(capsys, "validate", "--family", "shadow", "--p-range", "2..5")
         assert code == 0  # not strict
@@ -129,6 +134,15 @@ class TestFormulasValidate:
         assert d["ok"] is False
         assert [r["p"] for r in d["rows"]] == [2, 3]
         assert d["rows"][1]["m"] == {"formula": 7, "observed": 6}
+
+    def test_validate_json_row_keys_are_validation_row_fields(self, capsys):
+        d = run_json(capsys, "validate", "--family", "splitting", "--p-range", "2..3",
+                     "--format", "json")
+        row_keys = {f.name for f in dataclasses.fields(ValidationRow)} | {"mismatches"}
+        check_keys = {f.name for f in dataclasses.fields(FormulaCheck)}
+        for row in d["rows"]:
+            assert set(row) == row_keys
+            assert all(set(row[q]) == check_keys for q in ("k", "m", "rp"))
 
     def test_bad_range_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -188,6 +202,21 @@ class TestShares:
             main([*command, "--secret", "x", "--secret-hex", "00"])
         assert exc.value.code == 2
         assert "--secret-hex: not allowed with argument --secret" in capsys.readouterr().err
+
+    def test_secret_flag_equal_to_the_fallback_still_conflicts(self, capsys):
+        # argparse counts a flag as given only when its value is not the
+        # default object, and a literal "secret" is interned: --secret must
+        # have no default for this conflict to show
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate-reconstruction", "--family", "shadow", "--p", "3",
+                  "--secret", "secret", "--secret-hex", "00"])
+        assert exc.value.code == 2
+        assert "--secret-hex: not allowed with argument --secret" in capsys.readouterr().err
+
+    def test_empty_secret_hex_is_not_the_fallback(self, capsys):
+        code, out, err = run(capsys, "simulate-reconstruction", "--family", "shadow",
+                             "--p", "3", "--secret-hex", "")
+        assert (code, out, err) == (2, "", "error: secret must be a nonempty byte string\n")
 
     def test_bad_share_syntax(self, capsys):
         code, _, err = run(capsys, "reconstruct", "--share", "notahex", "--k", "1")

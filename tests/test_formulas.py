@@ -98,8 +98,8 @@ class TestValidateFamily:
         )
         by_p = {r.p: r for r in report.rows}
         assert by_p[2].ok and by_p[4].ok and by_p[6].ok
-        assert by_p[4].racn_value == 5
-        assert by_p[5].racn_value is None
+        assert by_p[4].racn_exact == 5
+        assert by_p[5].racn_exact is None
         assert any("racn skipped" in gap for gap in by_p[5].gaps)
 
     def test_splitting_sweep(self):
@@ -110,7 +110,7 @@ class TestValidateFamily:
         )
         by_p = {r.p: r for r in report.rows}
         assert by_p[3].ok  # the p=3 exceptions in m and rp are real
-        assert by_p[3].m_observed == 4 and by_p[3].rp_observed == 2
+        assert by_p[3].m.observed == 4 and by_p[3].rp.observed == 2
 
     def test_mycielski_sweep(self):
         report = validate_family("mycielski", range(2, 5))
@@ -161,12 +161,12 @@ class TestValidateFamily:
     def test_racn_cap_enforced(self):
         report = validate_family("shadow", range(4, 5), racn_max_n=6)
         (row,) = report.rows
-        assert row.racn_value is None
+        assert row.racn_exact is None
         assert any("racn skipped" in g for g in row.gaps)
 
     def test_cover_budget_gap(self):
         (row,) = validate_family("shadow", range(6, 7), cover_budget=50).rows
-        assert row.m_observed is None and row.rp_observed is None
+        assert row.m.observed is None and row.rp.observed is None
         assert "m/rp search skipped: budget exceeded" in row.gaps
         assert not any(msg.startswith(("m:", "rp:")) for msg in row.mismatches)
 
@@ -174,7 +174,7 @@ class TestValidateFamily:
         g, _, coloring = family_coloring("mycielski", 6)
         _rainbow_path_signatures(g, coloring, 100_000)  # the enumeration fits, the search not
         (row,) = validate_family("mycielski", range(6, 7), cover_budget=100_000).rows
-        assert row.m_observed is None and row.rp_observed is None
+        assert row.m.observed is None and row.rp.observed is None
         assert "m/rp search skipped: budget exceeded" in row.gaps
 
 
@@ -183,7 +183,7 @@ def test_validation_rows_agree_with_direct_solver():
         report = validate_family(family, range(p, p + 1))
         (row,) = report.rows
         got = racn_exact(row_graph(family, p)).value
-        assert row.racn_value == got
+        assert row.racn_exact == got
 
 
 def row_graph(family, p):

@@ -20,7 +20,6 @@ from racnshare import (
     enumerate_cycles,
     family_coloring,
     fixture_graph,
-    is_chordless,
     path_graph,
     simulate_dissemination,
     simulate_reconstruction,
@@ -32,6 +31,19 @@ from racnshare.protocol import (
     _rainbow_path_signatures,
 )
 from racnshare.rainbow import DEFAULT_NODE_BUDGET
+
+
+def is_chordless(g, cycle):
+    """True when no two non-consecutive cycle vertices are adjacent: the oracle
+    that ``_cycles``' chordless mode is checked against."""
+    k = len(cycle)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if (j - i) % k in (1, k - 1):
+                continue
+            if g.has_edge(cycle[i], cycle[j]):
+                return False
+    return True
 
 
 def deal(family, p, secret=b"vault-key", seed=0):

@@ -9,12 +9,10 @@ from racnshare import (
     InvalidParameterError,
     SecretConfig,
     Share,
-    gf_eval,
-    gf_inv,
-    gf_mul,
     reconstruct,
     split,
 )
+from racnshare.sharing import gf_eval, gf_inv, gf_mul
 
 byte = st.integers(min_value=0, max_value=255)
 
