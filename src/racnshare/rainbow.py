@@ -7,12 +7,14 @@ rainbow connected, of the number of distinct edge weights (the racn) is
 computed exactly by ``racn_exact`` for small graphs.
 
 ``racn_exact`` deepens a bound on the weight count and runs one
-backtracking search, ``_first_labeling``, in two vertex orders: a
-maximum-cardinality order proves the infeasible levels, and index order
-finds the lexicographically first witness at the first feasible one. Both
-passes forward-check the frontier (the unlabeled vertices next to labeled
-ones) against the bound, which removes only subtrees with no complete
-labeling, so the witness is the one a plain index-order search returns.
+backtracking search, ``_first_labeling``, in maximum-cardinality vertex
+order: it proves the infeasible levels, and at the first feasible one it
+builds the lexicographically first witness in index order by probing, one
+vertex at a time, for the smallest label that still completes. The search
+forward-checks the frontier (the unlabeled vertices next to labeled ones)
+against the bound, which removes only subtrees with no complete labeling,
+so each probe is exact and the witness is the one a plain index-order
+search returns.
 
 One iterative enumerator, ``_rainbow_paths``, serves all four callers: a
 lexicographic DFS over an adjacency built once per coloring, with used
@@ -87,8 +89,8 @@ class RainbowConnectivity:
 class RacnCertificate:
     """Result of the exact search: minimum color count plus a witness.
 
-    ``examined``: complete labelings tested, over all deepening levels and
-    both passes (feasibility, then witness).
+    ``examined``: complete labelings tested, over the feasibility search at
+    every deepening level and every witness probe.
     """
 
     value: int
@@ -435,12 +437,16 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
     maximum-cardinality order decides whether some rainbow-connected
     labeling has at most t weights; that order places each vertex next to
     many placed ones, so the bound and the forward check bite early. At the
-    first feasible level a witness pass in index order returns the
-    lexicographically first such labeling (the feasibility pass's own find
-    when the two orders agree, as on a path). Label 1 goes only on one
-    representative per automorphism orbit: some solution survives that in
-    any order, so the feasibility pass stays exact, and the index-order
-    witness is the lexicographically first of minimum value.
+    first feasible level the witness is the lexicographically first such
+    labeling in index order, built by probing: each vertex v in turn, with
+    0..v-1 fixed, takes its smallest label that the same search still
+    completes. The last labeling found completes the fixed prefix, so only
+    labels below its label at v are probed, and a failed probe leaves v at
+    that label. When the two orders agree, as on a path, the feasibility
+    find is the witness. Label 1 goes only on one representative per
+    automorphism orbit: some solution survives that in any order, so the
+    search stays exact, and the witness is the lexicographically first of
+    minimum value.
     """
     if g.n > max_n:
         raise BudgetExceededError(
@@ -453,7 +459,6 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
     labels_mask = (2 << n) - 2
     cands = [labels_mask if rep == v else labels_mask & ~2
              for v, rep in enumerate(vertex_orbits(g))]
-    by_index = list(range(n))
     by_cardinality = _max_cardinality_order(g)
 
     def rainbow_connected(labels) -> bool:
@@ -467,9 +472,24 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
         examined += leaves
         if labels is None:
             continue
-        if by_cardinality != by_index:
-            labels, leaves = _first_labeling(g, by_index, cands, bound, rainbow_connected)
-            examined += leaves
+        if by_cardinality != list(range(n)):
+            fixed: list[int] = []  # one label bit for each of 0..v-1
+            for v in range(n):
+                taken = sum(fixed)
+                # labels[v] completes the prefix, so only smaller ones need a probe
+                below = cands[v] & ~taken & ((1 << labels[v]) - 1)
+                while below:
+                    low = below & -below
+                    below ^= low
+                    rest = ~(taken | low)
+                    trial = [*fixed, low, *(c & rest for c in cands[v + 1:])]
+                    found, leaves = _first_labeling(
+                        g, by_cardinality, trial, bound, rainbow_connected)
+                    examined += leaves
+                    if found is not None:
+                        labels = found
+                        break
+                fixed.append(1 << labels[v])
         return RacnCertificate(bound, Labeling(labels), True, examined)
     # every connected graph admits a rainbow-connected labeling (e.g. one
     # making all weights distinct), so this is unreachable for valid input

@@ -6,6 +6,9 @@ beyond skipping candidates that cannot improve, so any agreement with
 is a genuine dual-route confirmation. A second scan, with the same label-1
 orbit rule but found by testing every vertex permutation, gives the
 lexicographically first minimum labeling, so the witness is checked too.
+That scan stops at n = 6; beyond it, a plain index-order backtracking
+search at the certified value checks the witness that ``racn_exact``
+builds by probing.
 """
 
 import itertools
@@ -28,6 +31,7 @@ from racnshare import (
     racn_exact,
     racn_upper,
 )
+from racnshare.rainbow import _first_labeling, vertex_orbits
 
 
 def _rc(n, edges, weight_of):
@@ -91,6 +95,20 @@ def first_min_labeling(g):
     return best
 
 
+def index_order_witness(g, value):
+    """The lexicographically first rainbow-connected labeling with at most
+    ``value`` weights: one backtracking search in vertex index order over
+    the same label-1 orbit rule that ``racn_exact`` uses."""
+    labels_mask = (2 << g.n) - 2
+    cands = [labels_mask if rep == v else labels_mask & ~2
+             for v, rep in enumerate(vertex_orbits(g))]
+
+    def accept(labels):
+        return is_rainbow_connected(g, edge_weights(g, Labeling(tuple(labels)))).connected
+
+    return _first_labeling(g, list(range(g.n)), cands, value, accept)[0]
+
+
 FROZEN = {
     ("path", 2): 1,
     ("path", 3): 2,
@@ -141,6 +159,17 @@ def test_frozen_witnesses(family, p):
     cert = racn_exact(build_graph(family, p), max_n=13)
     assert (cert.value, cert.witness.values) == FROZEN_WITNESSES[(family, p)]
     assert cert.exhaustive
+
+
+@pytest.mark.parametrize(
+    "family,p",
+    [(f, p) for f in ("shadow", "splitting", "mycielski") for p in range(2, 6)]
+    + [("path", p) for p in range(2, 9)],
+)
+def test_witness_matches_index_order_search(family, p):
+    g = build_graph(family, p)
+    cert = racn_exact(g, max_n=11)
+    assert cert.witness.values == index_order_witness(g, cert.value)
 
 
 @pytest.mark.parametrize("family,p", sorted(FROZEN))
@@ -256,3 +285,21 @@ def test_random_graphs_match_first_min_labeling(data):
     g = custom_graph(n, sorted(tree | extra))
     cert = racn_exact(g)
     assert (cert.value, cert.witness.values) == first_min_labeling(g)
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_random_graphs_match_index_order_search(data):
+    n = data.draw(st.integers(min_value=7, max_value=9))
+    shuffled = data.draw(st.permutations(range(n)))
+    tree = {
+        tuple(sorted((shuffled[i], shuffled[data.draw(st.integers(0, i - 1))])))
+        for i in range(1, n)
+    }
+    # at least three edges off the tree: on a 9-vertex tree racn_exact alone
+    # can take 10 s to prove the levels below the edge count infeasible
+    pool = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    extra = data.draw(st.sets(st.sampled_from(pool), min_size=3, max_size=n))
+    g = custom_graph(n, sorted(tree | extra))
+    cert = racn_exact(g, max_n=9)
+    assert cert.witness.values == index_order_witness(g, cert.value)
