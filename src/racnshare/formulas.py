@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from . import protocol
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import _require_p, build_graph, degree_stats
-from .labelings import family_coloring, family_labeling
-from .rainbow import DEFAULT_MAX_N, DEFAULT_NODE_BUDGET, racn_exact
+from .labelings import family_coloring
+from .rainbow import DEFAULT_MAX_N, racn_exact
 
 SCHEME_FAMILIES = ("shadow", "splitting", "mycielski")
 
@@ -198,10 +198,7 @@ class ValidationReport:
 
 
 def validate_family(
-    family: str,
-    p_range: range,
-    racn_max_n: int = DEFAULT_MAX_N,
-    cover_budget: int = DEFAULT_NODE_BUDGET,
+    family: str, p_range: range, racn_max_n: int = DEFAULT_MAX_N
 ) -> ValidationReport:
     """Cross-check every closed form against recomputed ground truth.
 
@@ -216,7 +213,7 @@ def validate_family(
         g, lab, coloring = family_coloring(family, p)
         gaps: list[str] = []
         try:
-            paths = protocol._min_vertex_cover_choice(g, coloring, cover_budget)
+            paths = protocol._min_vertex_cover_choice(g, coloring)
             rp_obs, m_obs = len(paths), len(set().union(*paths))
         except BudgetExceededError:
             rp_obs = m_obs = None

@@ -19,7 +19,7 @@ x_1..x_p occupy indices 0..p-1, y_1..y_p occupy p..2p-1, and the apex
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidParameterError

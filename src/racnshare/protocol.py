@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import rainbow
 from .errors import BudgetExceededError, InvalidParameterError, RacnShareError
 from .graphs import Graph, bfs_parents
 from .labelings import Labeling, WeightedColoring, edge_weights
-from .rainbow import (_EXHAUSTED, DEFAULT_NODE_BUDGET, RainbowPath, _adjacency,
-                      _fewest_edge_paths, _rainbow_paths, max_new_color_path)
+from .rainbow import (_EXHAUSTED, RainbowPath, _adjacency, _fewest_edge_paths, _rainbow_paths,
+                      max_new_color_path)
 from .sharing import SecretConfig, Share, reconstruct, split
 
 
@@ -79,7 +80,6 @@ def simulate_reconstruction(
     instance: SchemeInstance,
     clamp: bool = False,
     optimal: bool = False,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ReconstructionTrace:
     """Collect all weight classes along rainbow paths, then rebuild the secret.
 
@@ -87,8 +87,9 @@ def simulate_reconstruction(
     not-yet-collected classes (ties: fewer edges, then lexicographically
     smallest vertex sequence). ``clamp=True`` caps a phase's haul at k-1
     classes. Greedy reads the rainbow paths at most twice, each read with
-    its own ``node_budget``: ``max_new_color_path`` picks the first phase,
-    and ``_fewest_edge_paths`` lists the candidates of every later one.
+    its own ``rainbow.NODE_BUDGET``: ``max_new_color_path`` picks the first
+    phase, and ``_fewest_edge_paths`` lists the candidates of every later
+    one.
     ``optimal=True`` replaces greedy with the exhaustive
     minimum-phase cover used by ``empirical_rp``/``empirical_m``; it cannot
     honour the cap, so setting both raises ``InvalidParameterError``.
@@ -107,9 +108,9 @@ def simulate_reconstruction(
 
     if optimal:
         paths = [RainbowPath(vs, tuple(coloring.weight(a, b) for a, b in zip(vs, vs[1:])))
-                 for vs in _min_vertex_cover_choice(g, coloring, node_budget)]
+                 for vs in _min_vertex_cover_choice(g, coloring)]
     else:
-        paths = [max_new_color_path(g, coloring, frozenset(), node_budget, cap)]
+        paths = [max_new_color_path(g, coloring, frozenset(), cap)]
     # each phase takes the candidate (class mask, path) with the most new
     # classes, at most cap, then the fewest edges, then the first listed
     candidates = [(mask(p.weights), p) for p in paths]
@@ -122,7 +123,7 @@ def simulate_reconstruction(
         if len(phases) == 1 and not optimal:
             # one more read of the paths ranks every later greedy phase; phase 1
             # took a class, so cap >= k - 1 >= popcount(new) as the read needs
-            candidates = _fewest_edge_paths(g, coloring, new, node_budget)
+            candidates = _fewest_edge_paths(g, coloring, new)
         _, path = max((c for c in candidates if (c[0] & new).bit_count() <= cap),
                       key=lambda c: ((c[0] & new).bit_count(), -c[1].edge_count))
         newly = frozenset(path.weights) - collected
@@ -143,7 +144,7 @@ def simulate_reconstruction(
 
 
 def _rainbow_path_signatures(
-    g: Graph, coloring: WeightedColoring, node_budget: int
+    g: Graph, coloring: WeightedColoring
 ) -> tuple[list[int], dict[tuple[int, int], tuple[int, ...]]]:
     """Enumerate every rainbow path as (class bitmask, vertex bitmask).
 
@@ -152,20 +153,18 @@ def _rainbow_path_signatures(
     signature). Raises ``BudgetExceededError`` when the budget runs out.
     """
     found: dict[tuple[int, int], tuple[int, ...]] = {}
-    for taken, seen, used in _rainbow_paths(_adjacency(g, coloring), range(g.n), node_budget):
+    for taken, seen, used in _rainbow_paths(_adjacency(g, coloring), range(g.n)):
         if (used, seen) not in found:
             found[used, seen] = tuple([t[0] for t in taken])
     return sorted(coloring.classes), found
 
 
-def _min_phases(
-    classes: list[int], found: dict[tuple[int, int], tuple[int, ...]], node_budget: int
-) -> int:
+def _min_phases(classes: list[int], found: dict[tuple[int, int], tuple[int, ...]]) -> int:
     """Fewest signatures whose class masks jointly cover every class.
 
     A BFS over unions of the maximal class masks: a cover stays a cover when
     each of its masks grows to a maximal superset, so the others cannot
-    lower the count. Union ``node_budget + 1`` it forms raises
+    lower the count. Union ``rainbow.NODE_BUDGET + 1`` it forms raises
     ``BudgetExceededError``.
     """
     full = (1 << len(classes)) - 1
@@ -175,6 +174,7 @@ def _min_phases(
             maximal.append(cm)
     reached = {0}
     frontier = [0]
+    budget = rainbow.NODE_BUDGET
     unions = 0
     for depth in range(len(classes) + 1):
         if full in reached:
@@ -183,7 +183,7 @@ def _min_phases(
         for m in frontier:
             for cm in maximal:
                 unions += 1
-                if unions > node_budget:
+                if unions > budget:
                     raise BudgetExceededError(_EXHAUSTED)
                 u = m | cm
                 if u not in reached:
@@ -193,23 +193,17 @@ def _min_phases(
     raise InvalidParameterError("no rainbow-path cover exists")
 
 
-def empirical_rp(
-    g: Graph, coloring: WeightedColoring, node_budget: int = DEFAULT_NODE_BUDGET
-) -> int:
+def empirical_rp(g: Graph, coloring: WeightedColoring) -> int:
     """Minimum number of rainbow paths jointly covering every weight class."""
-    return _min_phases(*_rainbow_path_signatures(g, coloring, node_budget), node_budget)
+    return _min_phases(*_rainbow_path_signatures(g, coloring))
 
 
-def empirical_m(
-    g: Graph, coloring: WeightedColoring, node_budget: int = DEFAULT_NODE_BUDGET
-) -> int:
+def empirical_m(g: Graph, coloring: WeightedColoring) -> int:
     """Fewest distinct vertices over all minimum-phase rainbow-path covers."""
-    return len(set().union(*_min_vertex_cover_choice(g, coloring, node_budget)))
+    return len(set().union(*_min_vertex_cover_choice(g, coloring)))
 
 
-def _min_vertex_cover_choice(
-    g: Graph, coloring: WeightedColoring, node_budget: int
-) -> list[tuple[int, ...]]:
+def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple[int, ...]]:
     """One cover search, for both ``rp`` and ``m``: a minimum-phase rainbow-path
     cover with the fewest distinct vertices, as its paths' vertex tuples, sorted.
 
@@ -220,11 +214,12 @@ def _min_vertex_cover_choice(
     leaves a class uncovered. Among covers with the fewest vertices it keeps
     the lexicographically first sorted list of (item index, vertex-mask index)
     picks, items ordered by (-popcount, class mask). The signature
-    enumeration, the ``rp`` search and this search each get ``node_budget``
-    nodes; this one counts the states it pushes, not the root.
+    enumeration, the ``rp`` search and this search each get
+    ``rainbow.NODE_BUDGET`` nodes; this one counts the states it pushes, not
+    the root.
     """
-    classes, found = _rainbow_path_signatures(g, coloring, node_budget)
-    rp = _min_phases(classes, found, node_budget)
+    classes, found = _rainbow_path_signatures(g, coloring)
+    rp = _min_phases(classes, found)
     full = (1 << len(classes)) - 1
 
     by_class_mask: dict[int, list[int]] = {}
@@ -248,6 +243,7 @@ def _min_vertex_cover_choice(
                for b in range(len(classes))]
     best: tuple[int, list[tuple[int, int]]] = (g.n + 1, [])  # (vertex count, sorted picks)
     stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
+    budget = rainbow.NODE_BUDGET
     nodes = 0
     while stack:
         cmask, vunion, picks = stack.pop()
@@ -264,15 +260,13 @@ def _min_vertex_cover_choice(
                 trial = vunion | vmasks[j]
                 if trial.bit_count() <= best[0]:
                     nodes += 1
-                    if nodes > node_budget:
+                    if nodes > budget:
                         raise BudgetExceededError(_EXHAUSTED)
                     stack.append((cmask | c, trial, (*picks, (i, j))))
     return sorted(found[items[i][0], items[i][1][j]] for i, j in best[1])
 
 
-def _cycles(
-    g: Graph, max_len: int | None, chordless: bool, budget: int = DEFAULT_NODE_BUDGET
-) -> list[tuple[tuple[int, ...], int]]:
+def _cycles(g: Graph, max_len: int | None, chordless: bool) -> list[tuple[tuple[int, ...], int]]:
     """Every canonical simple cycle with its vertex bitmask, by (length, sequence).
 
     One DFS grows each cycle from its smallest vertex s through higher ones
@@ -280,12 +274,13 @@ def _cycles(
     skips a vertex adjacent to the path's interior and stops, after closing,
     at a neighbour of s. A vertex is pushed only if a path that keeps these
     rules can still lead from it to a closing vertex. Pushes are counted
-    from every start, the second vertex included; push ``budget + 1``
-    raises ``BudgetExceededError``.
+    from every start, the second vertex included; push
+    ``rainbow.NODE_BUDGET + 1`` raises ``BudgetExceededError``.
     """
     limit = g.n if max_len is None else max_len
     nbrs = [sum(1 << u for u in a) for a in g.adjacency]
     found: list[tuple[tuple[int, ...], int]] = []
+    budget = rainbow.NODE_BUDGET
     pushes = 0
     for s in range(g.n):
         up = [[u for u in a if u > s] for a in g.adjacency]
@@ -351,7 +346,6 @@ def enumerate_cycles(
     g: Graph,
     anchor: frozenset[int] | set[int],
     max_len: int | None = None,
-    cycle_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[tuple[int, ...]]:
     """All simple cycles through at least one anchor vertex, canonicalized.
 
@@ -359,15 +353,15 @@ def enumerate_cycles(
     orientation whose second vertex is smaller than its last; results are
     sorted by (length, vertex sequence). An empty anchor yields [].
     ``max_len``, if given, caps the cycle length in vertices and must be at
-    least 3; a smaller one raises ``InvalidParameterError``. The budget
-    counts every push of the cycle search over the whole graph, anchored or
-    not.
+    least 3; a smaller one raises ``InvalidParameterError``. The
+    ``rainbow.NODE_BUDGET`` budget counts every push of the cycle search over
+    the whole graph, anchored or not.
     """
     _check_max_len(max_len)
     if not anchor:
         return []
     anchor = frozenset(anchor)
-    return [c for c, _ in _cycles(g, max_len, False, cycle_budget) if not anchor.isdisjoint(c)]
+    return [c for c, _ in _cycles(g, max_len, False) if not anchor.isdisjoint(c)]
 
 
 @dataclass(frozen=True)
@@ -401,7 +395,7 @@ def simulate_dissemination(
     """Broadcast from ``informed0`` until everyone is informed.
 
     Cycles are enumerated once per run, by a search of at most
-    ``DEFAULT_NODE_BUDGET`` pushes. Each round fires circuits anchored at a
+    ``rainbow.NODE_BUDGET`` pushes. Each round fires circuits anchored at a
     vertex informed before the round started; within the round, circuits
     are chosen greedily by most newly informed vertices (ties: shorter, then
     lexicographic) until no circuit adds anyone. A round with no useful

@@ -16,7 +16,7 @@ against the bound, which removes only subtrees with no complete labeling,
 so each probe is exact and the witness is the one a plain index-order
 search returns.
 
-One iterative enumerator, ``_rainbow_paths``, serves all four callers: a
+One iterative enumerator, ``_rainbow_paths``, serves every path search: a
 lexicographic DFS over an adjacency built once per coloring, with used
 vertices and classes kept as int bitmasks, yielding every rainbow path as
 it is pushed. ``exists_rainbow_path``, ``is_rainbow_connected`` and the
@@ -33,10 +33,11 @@ order and ties are broken lexicographically on the vertex sequence, so
 repeated runs yield identical witnesses.
 
 Every budgeted search, here and in ``protocol``, keeps one rule: it counts
-the nodes it pushes, never its root, and node ``budget + 1`` raises
+the nodes it pushes, never its root, and node ``NODE_BUDGET + 1`` raises
 ``BudgetExceededError(_EXHAUSTED)``. A search that stops early raises only
-when its budget runs out before the stop. ``DEFAULT_NODE_BUDGET`` is each
-search's default budget.
+when its budget runs out before the stop. ``NODE_BUDGET`` is the one budget:
+each search reads it from this module when it starts, so setting it here
+bounds every search.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import Graph, degree_stats, diameter
 from .labelings import Labeling, WeightedColoring, edge_weights
 
-DEFAULT_NODE_BUDGET = 10_000_000
+NODE_BUDGET = 10_000_000
 DEFAULT_MAX_N = 8  # racn_exact's size cap
 _EXHAUSTED = "path-search node budget exhausted"
 
@@ -109,15 +110,16 @@ def _adjacency(g: Graph, w: WeightedColoring) -> list[list[tuple[int, int, int]]
             for a, nbrs in enumerate(g.adjacency)]
 
 
-def _rainbow_paths(adj, sources, budget: float = float("inf")):
+def _rainbow_paths(adj, sources):
     """Every rainbow path from each source, in lexicographic DFS order.
 
     Yields ``(taken, seen, used)`` at each push: ``taken`` is the live stack
     (the root ``(source, 0, 0)``, then the adjacency entry of each edge on
     the path), and ``seen``/``used`` are the vertex and class bitmasks.
-    Pushes are counted over all sources; push ``budget + 1`` raises
+    Pushes are counted over all sources; push ``NODE_BUDGET + 1`` raises
     ``BudgetExceededError``.
     """
+    budget = NODE_BUDGET
     pushes = 0
     for s in sources:
         stack = [iter(adj[s])]
@@ -148,14 +150,14 @@ def _as_path(taken) -> RainbowPath:
     return RainbowPath(tuple([t[0] for t in taken]), tuple([t[1] for t in taken[1:]]))
 
 
-def _first_arrivals(adj, u: int, targets: int, budget: float = float("inf"), paths=None) -> int:
+def _first_arrivals(adj, u: int, targets: int, paths=None) -> int:
     """Search from ``u`` until every target (a bitmask) is reached.
 
     ``paths[v]`` gets the path at the first arrival at each target v; a DFS
     aimed at v alone pushes exactly the same nodes up to there. Returns the
     unreached targets.
     """
-    for taken, _, _ in _rainbow_paths(adj, (u,), budget):
+    for taken, _, _ in _rainbow_paths(adj, (u,)):
         b = taken[-1][0]
         if targets >> b & 1:
             targets ^= 1 << b
@@ -171,12 +173,11 @@ def exists_rainbow_path(
     w: WeightedColoring,
     u: int,
     v: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> RainbowPath | None:
     """First rainbow u-v path in lexicographic DFS order, or None.
 
     Raises ``BudgetExceededError`` when the search pushes more than
-    ``node_budget`` nodes before it finds the path or proves there is none.
+    ``NODE_BUDGET`` nodes before it finds the path or proves there is none.
     """
     if u == v:
         raise InvalidParameterError("endpoints must differ")
@@ -184,21 +185,17 @@ def exists_rainbow_path(
         if not 0 <= x < g.n:
             raise InvalidParameterError(f"vertex {x} out of range")
     paths: dict[int, RainbowPath] = {}
-    _first_arrivals(_adjacency(g, w), u, 1 << v, node_budget, paths)
+    _first_arrivals(_adjacency(g, w), u, 1 << v, paths)
     return paths.get(v)
 
 
-def is_rainbow_connected(
-    g: Graph,
-    w: WeightedColoring,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> RainbowConnectivity:
+def is_rainbow_connected(g: Graph, w: WeightedColoring) -> RainbowConnectivity:
     """Check every unordered pair; witness map holds one path per pair.
 
     One search from each u reaches every v > u. Each witness, the failing
     pair (the first in ``itertools.combinations`` order) and each budget
-    raise are those of ``exists_rainbow_path(g, w, u, v, node_budget)``
-    called on the pairs in that order.
+    raise are those of ``exists_rainbow_path(g, w, u, v)`` called on the
+    pairs in that order.
     """
     if not g.is_connected():
         raise InvalidParameterError("graph is not connected")
@@ -206,7 +203,7 @@ def is_rainbow_connected(
     witnesses: dict[tuple[int, int], RainbowPath] = {}
     for u in range(g.n - 1):
         paths: dict[int, RainbowPath] = {}
-        _first_arrivals(adj, u, (1 << g.n) - (2 << u), node_budget, paths)
+        _first_arrivals(adj, u, (1 << g.n) - (2 << u), paths)
         for v in range(u + 1, g.n):
             if v not in paths:
                 return RainbowConnectivity(False, witnesses, failing_pair=(u, v))
@@ -218,7 +215,6 @@ def max_new_color_path(
     g: Graph,
     w: WeightedColoring,
     collected: frozenset[int] = frozenset(),
-    node_budget: int = DEFAULT_NODE_BUDGET,
     max_gain: int | None = None,
 ) -> RainbowPath:
     """Rainbow path maximizing the number of weights outside ``collected``.
@@ -236,7 +232,7 @@ def max_new_color_path(
     than ``top = min(#uncollected, cap)`` classes, nor gains ``top`` on
     fewer than ``top`` edges, so the search stops at the first path that
     reaches that key. It raises ``BudgetExceededError`` only when it pushes
-    more than ``node_budget`` nodes before it stops.
+    more than ``NODE_BUDGET`` nodes before it stops.
     """
     classes = sorted(w.classes)
     if not set(classes) - set(collected):
@@ -245,7 +241,7 @@ def max_new_color_path(
     cap = len(classes) if max_gain is None else max_gain
     top = min(new.bit_count(), cap)
     best, best_key = None, (0, 0)
-    for taken, _, used in _rainbow_paths(_adjacency(g, w), range(g.n), node_budget):
+    for taken, _, used in _rainbow_paths(_adjacency(g, w), range(g.n)):
         gain = (used & new).bit_count()
         if gain <= cap and (gain, -len(taken)) > best_key:
             best, best_key = _as_path(taken), (gain, -len(taken))
@@ -258,9 +254,7 @@ def max_new_color_path(
     return best
 
 
-def _fewest_edge_paths(
-    g: Graph, w: WeightedColoring, rest: int, node_budget: int
-) -> list[tuple[int, RainbowPath]]:
+def _fewest_edge_paths(g: Graph, w: WeightedColoring, rest: int) -> list[tuple[int, RainbowPath]]:
     """``(S, path)`` for each nonzero class set ``S = used & rest`` of a rainbow
     path: the first path in DFS order with the fewest edges, listed in the
     DFS order of these paths.
@@ -274,7 +268,7 @@ def _fewest_edge_paths(
     stops there. Pushes follow the budget rule of ``_rainbow_paths``.
     """
     table: dict[int, tuple] = {}  # S -> taken, in the DFS order of the kept paths
-    for taken, _, used in _rainbow_paths(_adjacency(g, w), range(g.n), node_budget):
+    for taken, _, used in _rainbow_paths(_adjacency(g, w), range(g.n)):
         s = used & rest
         if s:
             kept = table.get(s)

@@ -65,16 +65,30 @@ def graph_to_dict(g: Graph) -> dict:
     }
 
 
+def _roles(d: dict, n: int) -> dict:
+    """``d["roles"]`` of an n-vertex graph, each key ``str(v)`` for a vertex v;
+    absent or null means no names."""
+    roles = d.get("roles")
+    if roles is None:
+        return {}
+    if not isinstance(roles, dict):
+        raise InvalidParameterError(f"expected 'roles' to be an object, got {roles!r}")
+    indexes = {str(v) for v in range(n)}
+    for key in roles:
+        if key not in indexes:
+            raise InvalidParameterError(
+                f"expected 'roles' keys to be vertex indexes 0..{n - 1}, got {key!r}")
+    return roles
+
+
 def graph_from_dict(d: dict) -> Graph:
     if not isinstance(d, dict):
         raise InvalidParameterError(f"expected a JSON object, got {d!r}")
     family = d.get("family")
     p = d.get("p")
-    roles = d.get("roles") or {}
-    if not isinstance(roles, dict):
-        raise InvalidParameterError(f"expected 'roles' to be an object, got {roles!r}")
     if family in FAMILIES and p is not None:
         g = build_graph(family, p)
+        roles = _roles(d, g.n)
         file_edges = sorted(tuple(sorted(e)) for e in _edges(d))
         if d.get("n", g.n) != g.n or file_edges != sorted(g.edges):
             raise InvalidParameterError(
@@ -86,6 +100,7 @@ def graph_from_dict(d: dict) -> Graph:
                                             f"but {name!r} in the {family} construction at p={p}")
         return g
     n = _field(d, "n", int)
+    roles = _roles(d, n)
     names = [roles.get(str(v), str(v + 1)) for v in range(n)]
     return custom_graph(n, _edges(d), names=names, family=family)
 

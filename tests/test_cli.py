@@ -361,6 +361,12 @@ class TestSimulations:
         assert (code, out, err) == (2, "", "error: vertex 0 is named 'a' in the file "
                                            "but 'x1' in the shadow construction at p=2\n")
 
+    def test_dissemination_out_of_budget_exits_3(self, capsys, set_node_budget):
+        set_node_budget(2)
+        code, out, err = run(capsys, "simulate-dissemination", "--family", "shadow",
+                             "--p", "4", "--informed", "x1")
+        assert (code, out, err) == (3, "", "error: path-search node budget exhausted\n")
+
     def test_dissemination_p_0_names_p(self, capsys):
         code, out, err = run(capsys, "simulate-dissemination", "--family", "shadow",
                              "--p", "0", "--informed", "x1")
@@ -384,7 +390,19 @@ class TestSimulations:
          "expected 'edges' to hold [i, j] integer pairs, got [[0, True]]"),
         ({"n": 2, "edges": [[0, 1]], "roles": ["a", "b"]},
          "expected 'roles' to be an object, got ['a', 'b']"),
-    ], ids=["not-an-object", "str-vertex", "str-n", "bool-vertex", "list-roles"])
+        ({"n": 2, "edges": [[0, 1]], "roles": []}, "expected 'roles' to be an object, got []"),
+        ({"n": 2, "edges": [[0, 1]], "roles": ""}, "expected 'roles' to be an object, got ''"),
+        ({"n": 2, "edges": [[0, 1]], "roles": 0}, "expected 'roles' to be an object, got 0"),
+        ({"n": 2, "edges": [[0, 1]], "roles": False},
+         "expected 'roles' to be an object, got False"),
+        ({"n": 3, "edges": [[0, 1], [1, 2]], "roles": {"1": "a", "2": "b", "3": "c"}},
+         "expected 'roles' keys to be vertex indexes 0..2, got '3'"),
+        ({"family": "shadow", "p": 2, "n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]],
+          "roles": {"0": "x1", "4": "a"}},
+         "expected 'roles' keys to be vertex indexes 0..3, got '4'"),
+    ], ids=["not-an-object", "str-vertex", "str-n", "bool-vertex", "list-roles",
+            "empty-list-roles", "empty-str-roles", "zero-roles", "false-roles",
+            "roles-keyed-from-1", "family-roles-past-n"])
     def test_dissemination_mistyped_fixture_exits_2(self, capsys, tmp_path, content, message):
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(content))

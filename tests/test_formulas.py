@@ -164,16 +164,18 @@ class TestValidateFamily:
         assert row.racn_exact is None
         assert any("racn skipped" in g for g in row.gaps)
 
-    def test_cover_budget_gap(self):
-        (row,) = validate_family("shadow", range(6, 7), cover_budget=50).rows
+    def test_cover_budget_gap(self, set_node_budget):
+        set_node_budget(50)
+        (row,) = validate_family("shadow", range(6, 7)).rows
         assert row.m.observed is None and row.rp.observed is None
         assert "m/rp search skipped: budget exceeded" in row.gaps
         assert not any(msg.startswith(("m:", "rp:")) for msg in row.mismatches)
 
-    def test_cover_budget_gap_in_the_cover_search(self):
+    def test_cover_budget_gap_in_the_cover_search(self, set_node_budget):
         g, _, coloring = family_coloring("mycielski", 6)
-        _rainbow_path_signatures(g, coloring, 100_000)  # the enumeration fits, the search not
-        (row,) = validate_family("mycielski", range(6, 7), cover_budget=100_000).rows
+        set_node_budget(100_000)
+        _rainbow_path_signatures(g, coloring)  # the enumeration fits, the search not
+        (row,) = validate_family("mycielski", range(6, 7)).rows
         assert row.m.observed is None and row.rp.observed is None
         assert "m/rp search skipped: budget exceeded" in row.gaps
 

@@ -30,7 +30,7 @@ from racnshare.protocol import (
     _min_vertex_cover_choice,
     _rainbow_path_signatures,
 )
-from racnshare.rainbow import DEFAULT_NODE_BUDGET
+from racnshare import rainbow
 
 
 def is_chordless(g, cycle):
@@ -150,10 +150,11 @@ class TestReconstruction:
         assert trace.phase_count == empirical_rp(inst.graph, inst.coloring)
         assert trace.recovered == inst.secret
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, set_node_budget):
         inst = deal("shadow", 4)
+        set_node_budget(1)
         with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-            simulate_reconstruction(inst, node_budget=1)
+            simulate_reconstruction(inst)
 
     def test_tampered_instance_is_caught(self):
         inst = deal("shadow", 2)
@@ -185,23 +186,27 @@ def test_empirical_cover_numbers(family):
         assert empirical_m(g, coloring) == m, (family, p)
 
 
-def test_empirical_search_budget():
+def test_empirical_search_budget(set_node_budget):
     g, _, coloring = family_coloring("shadow", 6)
+    set_node_budget(50)
     with pytest.raises(BudgetExceededError):
-        empirical_rp(g, coloring, node_budget=50)
+        empirical_rp(g, coloring)
 
 
-def test_rp_search_is_budgeted():
+def test_rp_search_is_budgeted(set_node_budget):
     # mycielski p=7: the enumeration pushes 2,742 paths; the rp search forms
     # 4,690 unions of the 35 maximal class masks (out of 997) before it
     # reaches depth 3
     g, _, coloring = family_coloring("mycielski", 7)
-    classes, found = _rainbow_path_signatures(g, coloring, 3000)
+    set_node_budget(3000)
+    classes, found = _rainbow_path_signatures(g, coloring)
     with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-        empirical_rp(g, coloring, node_budget=3000)
+        empirical_rp(g, coloring)
+    set_node_budget(4689)
     with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-        _min_phases(classes, found, 4689)
-    assert _min_phases(classes, found, 4690) == 3
+        _min_phases(classes, found)
+    set_node_budget(4690)
+    assert _min_phases(classes, found) == 3
 
 
 class TestCycles:
@@ -273,10 +278,11 @@ class TestCycles:
     def test_empty_anchor_short_circuits(self):
         assert enumerate_cycles(fixture_graph(), frozenset()) == []
 
-    def test_cycle_budget(self):
+    def test_cycle_budget(self, set_node_budget):
         g = fixture_graph()
+        set_node_budget(2)
         with pytest.raises(BudgetExceededError):
-            enumerate_cycles(g, frozenset(range(g.n)), cycle_budget=2)
+            enumerate_cycles(g, frozenset(range(g.n)))
 
     def test_chordless_detection(self):
         g = fixture_graph()
@@ -411,24 +417,25 @@ class TestSignaturesMatchRecursive:
     @pytest.mark.parametrize("family,p", SIGNATURE_CELLS)
     def test_same_map_in_same_order(self, family, p):
         g, _, coloring = family_coloring(family, p)
-        classes, found = _rainbow_path_signatures(g, coloring, DEFAULT_NODE_BUDGET)
-        want_classes, want = recursive_signatures(g, coloring, DEFAULT_NODE_BUDGET)
+        classes, found = _rainbow_path_signatures(g, coloring)
+        want_classes, want = recursive_signatures(g, coloring, rainbow.NODE_BUDGET)
         assert classes == want_classes
         assert list(found.items()) == list(want.items())
 
     @pytest.mark.parametrize("family", ["shadow", "splitting", "mycielski"])
-    def test_budget_raises_agree(self, family):
+    def test_budget_raises_agree(self, family, set_node_budget):
         g, _, coloring = family_coloring(family, 3)
         raised = set()
         for budget in range(1, 200, 3):
+            set_node_budget(budget)
             try:
                 recursive_signatures(g, coloring, budget)
             except BudgetExceededError:
                 raised.add(budget)
                 with pytest.raises(BudgetExceededError):
-                    _rainbow_path_signatures(g, coloring, budget)
+                    _rainbow_path_signatures(g, coloring)
             else:
-                _rainbow_path_signatures(g, coloring, budget)
+                _rainbow_path_signatures(g, coloring)
         assert 1 in raised and 199 not in raised
 
 
@@ -445,14 +452,14 @@ def all_masks_min_phases(classes, found):
     return depth
 
 
-def recursive_cover_choice(g, coloring, node_budget):
+def recursive_cover_choice(g, coloring):
     """The recursive include/exclude search the iterative cover search replaced.
 
     Items (distinct class masks) are taken in (-popcount, class mask) order,
     each included with one of its Pareto-minimal vertex masks or excluded.
     Returns the chosen paths, sorted, and their vertex set.
     """
-    classes, found = _rainbow_path_signatures(g, coloring, node_budget)
+    classes, found = _rainbow_path_signatures(g, coloring)
     rp = all_masks_min_phases(classes, found)
     full = (1 << len(classes)) - 1
 
@@ -524,8 +531,8 @@ class TestCoverSearch:
     @pytest.mark.parametrize("family,p", COVER_CELLS)
     def test_same_cover_as_recursive(self, family, p):
         g, _, coloring = family_coloring(family, p)
-        paths = _min_vertex_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
-        want_paths, want_vertices = recursive_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
+        paths = _min_vertex_cover_choice(g, coloring)
+        want_paths, want_vertices = recursive_cover_choice(g, coloring)
         assert empirical_rp(g, coloring) == len(want_paths)
         assert paths == want_paths
         assert set().union(*paths) == want_vertices
@@ -540,8 +547,8 @@ class TestCoverSearch:
                 edges.add(tuple(sorted(rng.sample(range(n), 2))))
             g = custom_graph(n, sorted(edges))
             coloring = edge_weights(g, Labeling(tuple(rng.sample(range(1, n + 1), n))))
-            want, _ = recursive_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
-            paths = _min_vertex_cover_choice(g, coloring, DEFAULT_NODE_BUDGET)
+            want, _ = recursive_cover_choice(g, coloring)
+            paths = _min_vertex_cover_choice(g, coloring)
             assert empirical_rp(g, coloring) == len(want), (n, sorted(edges), coloring.weights)
             assert paths == want, (n, sorted(edges), coloring.weights)
 
@@ -549,20 +556,22 @@ class TestCoverSearch:
     @pytest.mark.parametrize("family,p", [("shadow", 9), ("shadow", 11), ("splitting", 16)])
     def test_former_frontier_cells_take_one_path(self, family, p):
         g, _, coloring = family_coloring(family, p)
-        classes, found = _rainbow_path_signatures(g, coloring, DEFAULT_NODE_BUDGET)
+        classes, found = _rainbow_path_signatures(g, coloring)
         full = (1 << len(classes)) - 1
         fewest = min(vmask.bit_count() for cmask, vmask in found if cmask == full)
         assert empirical_rp(g, coloring) == 1
         assert empirical_m(g, coloring) == fewest
 
-    def test_budget_counts_search_nodes(self):
+    def test_budget_counts_search_nodes(self, set_node_budget):
         # mycielski p=4: the enumeration pushes 358 paths, the rp search forms
         # 56 unions and the cover search pushes 478 nodes
         g, _, coloring = family_coloring("mycielski", 4)
-        _rainbow_path_signatures(g, coloring, 477)
+        set_node_budget(477)
+        _rainbow_path_signatures(g, coloring)
         with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-            empirical_m(g, coloring, node_budget=477)
-        assert empirical_m(g, coloring, node_budget=478) == 8
+            empirical_m(g, coloring)
+        set_node_budget(478)
+        assert empirical_m(g, coloring) == 8
 
 
 # phase paths recorded before the shared enumerator replaced the recursive
@@ -596,13 +605,15 @@ def test_frozen_phase_paths(family, p, mode):
     assert trace.recovered == inst.secret
 
 
-def test_greedy_stops_inside_a_small_budget():
+def test_greedy_stops_inside_a_small_budget(set_node_budget):
     # the winner is push 160 of the 117,940 rainbow paths; a full scan ran out
     inst = deal("shadow", 24)
-    trace = simulate_reconstruction(inst, node_budget=1_000)
+    set_node_budget(1_000)
+    trace = simulate_reconstruction(inst)
     assert [path.vertices for path, _ in trace.phases] == FROZEN_PHASES["shadow", 24, "greedy"]
+    set_node_budget(159)
     with pytest.raises(BudgetExceededError):
-        simulate_reconstruction(inst, node_budget=159)
+        simulate_reconstruction(inst)
 
 
 def recursive_enumerate_cycles(g, anchor, max_len=None):
@@ -719,22 +730,23 @@ class TestCyclesMatchPerRound:
                                           (build_graph("shadow", 4), (36, 21)),
                                           (build_graph("mycielski", 3), (17, 17))],
                              ids=["fig1", "shadow4", "myc3"])
-    def test_budget_raises_agree(self, g, pushes):
+    def test_budget_raises_agree(self, g, pushes, set_node_budget):
         everyone = frozenset(range(g.n))
         want = recursive_enumerate_cycles(g, everyone)
         chordless = [c for c in want if is_chordless(g, c)]
         for budget in range(1, 51):
+            set_node_budget(budget)
             if budget < pushes[0]:
                 with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-                    enumerate_cycles(g, everyone, cycle_budget=budget)
+                    enumerate_cycles(g, everyone)
             else:
-                assert enumerate_cycles(g, everyone, cycle_budget=budget) == want
+                assert enumerate_cycles(g, everyone) == want
             # a chordless run pushes no vertex that would give its path a chord
             if budget < pushes[1]:
                 with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-                    _cycles(g, None, True, budget)
+                    _cycles(g, None, True)
             else:
-                assert [c for c, _ in _cycles(g, None, True, budget)] == chordless
+                assert [c for c, _ in _cycles(g, None, True)] == chordless
 
     def test_masks_match_cycles(self):
         g = build_graph("mycielski", 4)

@@ -227,6 +227,13 @@ def test_too_large_raises():
         racn_exact(build_graph("shadow", 2), max_n=3)
 
 
+def test_leaf_search_is_budgeted(set_node_budget):
+    # the leaf test from vertex 0 pushes 1, then 2: the second push is past a budget of 1
+    set_node_budget(1)
+    with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
+        racn_exact(build_graph("path", 3))
+
+
 class TestRacnUpper:
     def test_closed_form_shadow_p4(self):
         g, lab, _ = family_coloring("shadow", 4)

@@ -88,11 +88,12 @@ class TestExistsRainbowPath:
                 assert g.has_edge(a, b)
                 assert w.weight(a, b) == wt
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, set_node_budget):
         g, _, w = family_coloring("shadow", 6)
+        set_node_budget(2)
         with pytest.raises(BudgetExceededError):
             # y1 (index 6) is far from x6; 2 nodes cannot cover the distance
-            exists_rainbow_path(g, w, 6, 5, node_budget=2)
+            exists_rainbow_path(g, w, 6, 5)
 
 
 class TestIsRainbowConnected:
@@ -331,7 +332,7 @@ class TestSingleSourceMatchesPairDFS:
     @pytest.mark.parametrize(
         "name", ["shadow p=3", "splitting p=3", "mycielski p=3", *sorted(NOT_CONNECTED)]
     )
-    def test_budget_raises_agree(self, name):
+    def test_budget_raises_agree(self, name, set_node_budget):
         if name in NOT_CONNECTED:
             g, w = NOT_CONNECTED[name][0]()
         else:
@@ -339,7 +340,8 @@ class TestSingleSourceMatchesPairDFS:
             g, _, w = family_coloring(family, int(p))
         raised = set()
         for budget in range(1, 61):
-            got = outcome(is_rainbow_connected, g, w, node_budget=budget)
+            set_node_budget(budget)
+            got = outcome(is_rainbow_connected, g, w)
             want = outcome(pair_dfs_connectivity, g, w, node_budget=budget)
             if want == "budget":
                 raised.add(budget)
@@ -348,7 +350,7 @@ class TestSingleSourceMatchesPairDFS:
                 assert got != "budget", budget
                 assert (list(got.witnesses.items()), got.failing_pair) == want
             for u, v in itertools.permutations(range(g.n), 2):
-                assert outcome(exists_rainbow_path, g, w, u, v, node_budget=budget) == \
+                assert outcome(exists_rainbow_path, g, w, u, v) == \
                     outcome(pair_dfs_path, g, w, u, v, budget), (budget, u, v)
         assert 1 in raised and 60 not in raised
 
@@ -446,12 +448,13 @@ class TestMaxNewColorPathMatchesRecursive:
                 fn(g, w, max_gain=0)
 
     @pytest.mark.parametrize("family", ["shadow", "splitting", "mycielski"])
-    def test_budget_raises_agree(self, family):
+    def test_budget_raises_agree(self, family, set_node_budget):
         g, _, w = family_coloring(family, 3)
         raised = set()
         for budget in range(1, 200, 3):
+            set_node_budget(budget)
             for collected in collected_sets(w):
-                got = outcome(max_new_color_path, g, w, collected, node_budget=budget)
+                got = outcome(max_new_color_path, g, w, collected)
                 want = outcome(recursive_max_new_color_path, g, w, collected, budget, stop=True)
                 assert got == want, (budget, sorted(collected))
                 if want == "budget":

@@ -59,6 +59,11 @@ class TestGraphJson:
             graph_from_dict(d)
         d["roles"] = {"1": "x2"}  # a role the file leaves out keeps the construction's name
         assert graph_from_dict(d) == build_graph("shadow", 2)
+        d["roles"] = {"4": "a"}
+        with pytest.raises(InvalidParameterError, match="vertex indexes 0..3, got '4'"):
+            graph_from_dict(d)
+        d["roles"] = None  # null, like an absent key, names no vertex
+        assert graph_from_dict(d) == build_graph("shadow", 2)
 
     def test_custom_graph_round_trip(self):
         d = {
@@ -76,15 +81,21 @@ class TestGraphJson:
         g = graph_from_dict({"n": 2, "edges": [[0, 1]]})
         assert g.names == ("1", "2")
 
-    @pytest.mark.parametrize("roles", [
-        {"0": "a", "1": "a", "2": "b"},
-        {"0": 5, "1": "b", "2": "c"},
-        {"0": None, "1": "b", "2": "c"},
-        {"0": "2"},  # vertex 1 has no role, so it takes the default name "2"
-    ], ids=["duplicate", "numeric", "null", "clashes-with-default"])
-    def test_names_must_be_distinct_strings(self, roles):
+    @pytest.mark.parametrize("roles,message", [
+        ({"0": "a", "1": "a", "2": "b"}, "distinct strings"),
+        ({"0": 5, "1": "b", "2": "c"}, "distinct strings"),
+        ({"0": None, "1": "b", "2": "c"}, "distinct strings"),
+        # vertex 1 has no role, so it takes the default name "2"
+        ({"0": "2"}, "distinct strings"),
+        ({"1": "a", "2": "b", "3": "c"}, "'roles' keys to be vertex indexes 0..2, got '3'"),
+        ({"0": "a", "01": "b"}, "'roles' keys to be vertex indexes 0..2, got '01'"),
+        ([], "expected 'roles' to be an object, got \\[\\]"),
+        (False, "expected 'roles' to be an object, got False"),
+    ], ids=["duplicate", "numeric", "null", "clashes-with-default", "keyed-from-1",
+            "zero-padded-key", "empty-list", "false"])
+    def test_names_must_be_distinct_strings(self, roles, message):
         d = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "roles": roles}
-        with pytest.raises(InvalidParameterError, match="distinct strings"):
+        with pytest.raises(InvalidParameterError, match=message):
             graph_from_dict(d)
 
 

@@ -1,0 +1,51 @@
+"""Checks on the package source itself: imports and function signatures."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import racnshare
+
+SOURCES = sorted(p for p in Path(racnshare.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")  # __init__'s imports are the public list
+MODULES = [importlib.import_module(f"racnshare.{m.name}")
+           for m in pkgutil.iter_modules(racnshare.__path__)]
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import in ``tree`` that no expression reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_import_is_used(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_no_function_takes_a_budget():
+    # every search reads rainbow.NODE_BUDGET; a per-call budget would be a second one
+    found = []
+    for module in MODULES:
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            funcs = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                funcs += [(f"{name}.{k}", v) for k, v in vars(obj).items() if inspect.isfunction(v)]
+            for qual, fn in funcs:
+                found += [f"{module.__name__}.{qual}({p})"
+                          for p in inspect.signature(fn).parameters if "budget" in p]
+    assert found == []
