@@ -34,7 +34,6 @@ from .graphs import (
     custom_graph,
     degree_stats,
     diameter,
-    path_graph,
 )
 from .labelings import (
     Labeling,
@@ -42,10 +41,6 @@ from .labelings import (
     edge_weights,
     family_coloring,
     family_labeling,
-    mycielski_labeling,
-    path_labeling,
-    shadow_labeling,
-    splitting_labeling,
     verify_bijection,
 )
 from .protocol import (

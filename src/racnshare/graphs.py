@@ -1,15 +1,15 @@
 """Path-derived graph families used throughout the package.
 
 All graphs here are small, simple, undirected graphs over vertices
-``0..n-1``. Three derived families are built from the path P_p:
+``0..n-1``. ``build_graph(family, p)`` builds each family from the path
+P_p on x_1..x_p; the three derived ones add a vertex y_t for each x_t:
 
-* shadow: two copies of P_p (written x_1..x_p and y_1..y_p) where each
-  copy keeps its own path edges and every x_t is additionally joined to
-  the neighbours of its twin, giving edges x_t y_{t+1} and y_t x_{t+1}.
-* splitting: a new vertex y_t is added for each x_t and joined to the
-  neighbours of x_t only (x-path edges kept, no y-y edges).
-* mycielskian: new vertices y_t joined to the neighbours of x_t, plus an
-  apex vertex adjacent to every y_t.
+* shadow: y_1..y_p form a second copy of P_p, and every x_t is also joined
+  to the neighbours of its twin, giving edges x_t y_{t+1} and y_t x_{t+1}.
+* splitting: y_t is joined to the neighbours of x_t only (x-path edges
+  kept, no y-y edges).
+* mycielskian: y_t joined to the neighbours of x_t, plus an apex vertex
+  adjacent to every y_t.
 
 Vertex layout is fixed so labelings and serialization are reproducible:
 x_1..x_p occupy indices 0..p-1, y_1..y_p occupy p..2p-1, and the apex
@@ -102,31 +102,6 @@ def _require_p(p: int) -> None:
         raise InvalidParameterError(f"p must be an integer >= 2, got {p!r}")
 
 
-def path_graph(p: int) -> Graph:
-    """The path P_p on vertices x_1..x_p."""
-    _require_p(p)
-    names = tuple(f"x{t}" for t in range(1, p + 1))
-    edges = tuple((t - 1, t) for t in range(1, p))
-    return Graph(p, edges, names, family="path", p=p)
-
-
-def _derived_of_path(family: str, p: int) -> Graph:
-    """P_p on x_1..x_p with the cross edges x_t y_{t+1} and y_t x_{t+1}; the
-    shadow adds the y-path, the Mycielskian an apex joined to every y_t."""
-    _require_p(p)
-    apex = family == "mycielski"
-    edges: list[Edge] = []
-    for t in range(1, p):
-        edges += [(t - 1, t), (t - 1, p + t), (t, p + t - 1)]
-        if family == "shadow":
-            edges.append((p + t - 1, p + t))
-    names = [f"x{t}" for t in range(1, p + 1)] + [f"y{t}" for t in range(1, p + 1)]
-    if apex:
-        edges += [(p + t, 2 * p) for t in range(p)]
-        names.append("a")
-    return Graph(2 * p + apex, tuple(sorted(edges)), tuple(names), family=family, p=p)
-
-
 def build_graph(family: str, p: int) -> Graph:
     """The graph of ``family`` (one of FAMILIES) on P_p: the path itself (p
     vertices, p-1 edges), its shadow (2p vertices, 4(p-1) edges), its
@@ -136,7 +111,19 @@ def build_graph(family: str, p: int) -> Graph:
         raise InvalidParameterError(
             f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}"
         )
-    return path_graph(p) if family == "path" else _derived_of_path(family, p)
+    _require_p(p)
+    names = [f"x{t}" for t in range(1, p + 1)]
+    edges: list[Edge] = [(t - 1, t) for t in range(1, p)]
+    if family != "path":
+        names += [f"y{t}" for t in range(1, p + 1)]
+        for t in range(1, p):
+            edges += [(t - 1, p + t), (t, p + t - 1)]
+            if family == "shadow":
+                edges.append((p + t - 1, p + t))
+    if family == "mycielski":
+        edges += [(p + t, 2 * p) for t in range(p)]
+        names.append("a")
+    return Graph(len(names), tuple(sorted(edges)), tuple(names), family=family, p=p)
 
 
 def custom_graph(n: int, edges, names=None, family: str | None = None) -> Graph:

@@ -2,9 +2,10 @@
 
 A labeling assigns each vertex a distinct label from 1..n; every edge then
 receives the sum of its endpoint labels as its weight, and equal weights
-form one color class. The constructions below realize, for each family,
-a known number of distinct classes:
+form one color class. ``family_labeling(family, p)`` gives each family's
+closed-form labeling, which realizes a known number of distinct classes:
 
+* path:       p-1 classes
 * shadow:     p+1 classes for even p, p+3 for odd p
 * splitting:  p+1 classes
 * mycielskian: 2p classes
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .graphs import Edge, Graph, _require_p, build_graph
+from .graphs import FAMILIES, Edge, Graph, _require_p, build_graph
 
 
 @dataclass(frozen=True)
@@ -56,65 +57,32 @@ def edge_weights(g: Graph, labeling: Labeling) -> WeightedColoring:
     return WeightedColoring(weights=weights, classes=classes)
 
 
-def shadow_labeling(p: int) -> Labeling:
-    """Labeling of the shadow of P_p.
-
-    x_t alternates 2t-1 / 2t by parity of t; y_t counts down from 2p so
-    that both cross families collapse to constant weights when p is even
-    and to two constants each when p is odd.
-    """
-    _require_p(p)
-    values = [0] * (2 * p)
-    for t in range(1, p + 1):
-        values[t - 1] = 2 * t - 1 if t % 2 == 1 else 2 * t
-        if p % 2 == 0:
-            values[p + t - 1] = 2 * p - 2 * t + 1 if t % 2 == 1 else 2 * p - 2 * t + 2
-        else:
-            values[p + t - 1] = 2 * p - 2 * t + 2 if t % 2 == 1 else 2 * p - 2 * t + 1
-    return Labeling(tuple(values))
-
-
-def splitting_labeling(p: int) -> Labeling:
-    """Labeling of the splitting graph of P_p: x_t = t, y_t = 2p - t + 1."""
-    _require_p(p)
-    values = [0] * (2 * p)
-    for t in range(1, p + 1):
-        values[t - 1] = t
-        values[p + t - 1] = 2 * p - t + 1
-    return Labeling(tuple(values))
-
-
-def mycielski_labeling(p: int) -> Labeling:
-    """Labeling of the mycielskian of P_p: apex p+1, x_t = 2p-t+2, y_t = t."""
-    _require_p(p)
-    values = [0] * (2 * p + 1)
-    values[2 * p] = p + 1
-    for t in range(1, p + 1):
-        values[t - 1] = 2 * p - t + 2
-        values[p + t - 1] = t
-    return Labeling(tuple(values))
-
-
-def path_labeling(p: int) -> Labeling:
-    """Identity labeling of P_p; consecutive sums 2t+1 are already distinct."""
-    _require_p(p)
-    return Labeling(tuple(range(1, p + 1)))
-
-
-_LABELINGS = {
-    "path": path_labeling,
-    "shadow": shadow_labeling,
-    "splitting": splitting_labeling,
-    "mycielski": mycielski_labeling,
-}
-
-
 def family_labeling(family: str, p: int) -> Labeling:
-    try:
-        fn = _LABELINGS[family]
-    except KeyError:
-        raise InvalidParameterError(f"no closed-form labeling for family {family!r}") from None
-    return fn(p)
+    """The closed-form labeling of ``family`` on P_p, in the vertex layout of
+    ``build_graph``:
+
+    * path: the identity x_t = t; consecutive sums 2t+1 are already distinct.
+    * shadow: x_t = 2t-1 for odd t and 2t for even t; y_t counts down from
+      2p, as 2p-2t+2 when t and p have the same parity and 2p-2t+1 when not,
+      so that both cross families collapse to constant weights when p is
+      even and to two constants each when p is odd.
+    * splitting: x_t = t, y_t = 2p-t+1.
+    * mycielski: x_t = 2p-t+2, y_t = t, apex p+1.
+    """
+    if family not in FAMILIES:
+        raise InvalidParameterError(f"no closed-form labeling for family {family!r}")
+    _require_p(p)
+    ts = range(1, p + 1)
+    if family == "path":
+        return Labeling(tuple(ts))
+    if family == "shadow":
+        x = [2 * t - t % 2 for t in ts]
+        y = [2 * p - 2 * t + 2 - (t + p) % 2 for t in ts]
+    elif family == "splitting":
+        x, y = list(ts), [2 * p - t + 1 for t in ts]
+    else:
+        x, y = [2 * p - t + 2 for t in ts], list(ts)
+    return Labeling(tuple(x + y + [p + 1] * (family == "mycielski")))
 
 
 def family_coloring(family: str, p: int) -> tuple[Graph, Labeling, WeightedColoring]:

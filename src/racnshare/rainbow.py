@@ -19,10 +19,11 @@ search returns.
 One iterative enumerator, ``_rainbow_paths``, serves every path search: a
 lexicographic DFS over an adjacency built once per coloring, with used
 vertices and classes kept as int bitmasks, yielding every rainbow path as
-it is pushed. ``exists_rainbow_path``, ``is_rainbow_connected`` and the
-leaf test of ``racn_exact`` stop once every target is reached: the path on
-the stack at the first arrival at v is the path a DFS aimed at v would
-return, so n single-source searches replace n(n-1)/2 pair searches.
+it is pushed. ``exists_rainbow_path``, ``is_rainbow_connected`` and
+``_rainbow_connected`` (the leaf test of ``racn_exact``, and ``racn_upper``)
+stop once every target is reached: the path on the stack at the first
+arrival at v is the path a DFS aimed at v would return, so n single-source
+searches replace n(n-1)/2 pair searches.
 ``max_new_color_path`` stops at the first path that no later path can
 beat, and the cover search in ``protocol`` reads every path. Greedy
 reconstruction reads the paths at most twice per run: once for its first
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import Graph, degree_stats, diameter
@@ -341,6 +343,15 @@ def _max_cardinality_order(g: Graph) -> list[int]:
     return order
 
 
+def _rainbow_connected(g: Graph, labels) -> bool:
+    """Whether the weights that ``labels`` induce on the connected graph ``g``
+    are rainbow connected: the searches of ``is_rainbow_connected``, with
+    weight s as class bit s, and no witness paths."""
+    adj = [[(b, s, 1 << s) for b in nbrs for s in (labels[a] + labels[b],)]
+           for a, nbrs in enumerate(g.adjacency)]
+    return not any(_first_arrivals(adj, u, (1 << g.n) - (2 << u)) for u in range(g.n - 1))
+
+
 def _first_labeling(
     g: Graph, order: list[int], cands: list[int], bound: int, accept
 ) -> tuple[tuple[int, ...] | None, int]:
@@ -455,11 +466,7 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
              for v, rep in enumerate(vertex_orbits(g))]
     by_cardinality = _max_cardinality_order(g)
 
-    def rainbow_connected(labels) -> bool:
-        adj = [[(b, s, 1 << s) for b in nbrs for s in (labels[a] + labels[b],)]
-               for a, nbrs in enumerate(g.adjacency)]
-        return not any(_first_arrivals(adj, u, (1 << n) - (2 << u)) for u in range(n - 1))
-
+    rainbow_connected = partial(_rainbow_connected, g)
     examined = 0
     for bound in range(max(diameter(g), degree_stats(g)[1]), len(g.edges) + 1):
         labels, leaves = _first_labeling(g, by_cardinality, cands, bound, rainbow_connected)
@@ -491,8 +498,13 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
 
 
 def racn_upper(g: Graph, labeling: Labeling) -> int | None:
-    """Distinct weight count if the labeling's coloring is rainbow connected."""
+    """Distinct weight count if the labeling's coloring is rainbow connected,
+    else None.
+
+    It runs the searches of ``is_rainbow_connected`` but keeps no witness
+    paths, whose map would hold one path for each of the n(n-1)/2 pairs.
+    """
     coloring = edge_weights(g, labeling)
-    if not is_rainbow_connected(g, coloring):
-        return None
-    return len(coloring.classes)
+    if not g.is_connected():
+        raise InvalidParameterError("graph is not connected")
+    return len(coloring.classes) if _rainbow_connected(g, labeling.values) else None

@@ -10,7 +10,6 @@ from racnshare import (
     custom_graph,
     degree_stats,
     diameter,
-    path_graph,
 )
 
 
@@ -22,17 +21,19 @@ def to_nx(g):
 
 
 def test_path_graph_smallest():
-    g = path_graph(2)
+    g = build_graph("path", 2)
     assert g.n == 2
     assert g.edges == ((0, 1),)
 
 
 def test_path_graph_degrees():
-    g = path_graph(5)
+    g = build_graph("path", 5)
     assert g.n == 5 and len(g.edges) == 4
     assert sorted(len(a) for a in g.adjacency) == [1, 1, 2, 2, 2]
 
 
+# the ids are the names of the per-family constructors that build_graph
+# replaced, kept so that each case has the same id in every test report
 @pytest.mark.parametrize("p", [0, 1, -3])
 @pytest.mark.parametrize("family", FAMILIES, ids=[
     "path_graph", "shadow_of_path", "splitting_of_path", "mycielski_of_path"])
@@ -110,7 +111,7 @@ def test_mycielski_matches_networkx_construction():
 
 @pytest.mark.parametrize("p", range(2, 11))
 def test_edge_counts(p):
-    assert len(path_graph(p).edges) == p - 1
+    assert len(build_graph("path", p).edges) == p - 1
     assert len(build_graph("shadow", p).edges) == 4 * (p - 1)
     assert len(build_graph("splitting", p).edges) == 3 * (p - 1)
     assert len(build_graph("mycielski", p).edges) == 4 * p - 3
@@ -137,7 +138,7 @@ def test_build_graph_unknown_family():
 
 def test_index_of_unknown_name():
     with pytest.raises(InvalidParameterError):
-        path_graph(3).index_of("z9")
+        build_graph("path", 3).index_of("z9")
 
 
 def test_display_names_1_based():
@@ -165,7 +166,7 @@ def test_custom_graph_rejects_duplicate_edge():
 
 
 def test_diameter_examples():
-    assert diameter(path_graph(6)) == 5
+    assert diameter(build_graph("path", 6)) == 5
     assert diameter(build_graph("shadow", 2)) == 2
     assert diameter(build_graph("mycielski", 2)) == 2
 

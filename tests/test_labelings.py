@@ -12,10 +12,6 @@ from racnshare import (
     edge_weights,
     family_coloring,
     family_labeling,
-    mycielski_labeling,
-    path_labeling,
-    shadow_labeling,
-    splitting_labeling,
     verify_bijection,
 )
 
@@ -32,63 +28,58 @@ def labels_by_role(g, lab):
 
 def test_shadow_labeling_p4():
     g = build_graph("shadow", 4)
-    x, y = labels_by_role(g, shadow_labeling(4))
+    x, y = labels_by_role(g, family_labeling("shadow", 4))
     assert x == [1, 4, 5, 8]
     assert y == [7, 6, 3, 2]
 
 
 def test_shadow_labeling_p3():
     g = build_graph("shadow", 3)
-    x, y = labels_by_role(g, shadow_labeling(3))
+    x, y = labels_by_role(g, family_labeling("shadow", 3))
     assert x == [1, 4, 5]
     assert y == [6, 3, 2]
 
 
 def test_shadow_labeling_p2():
     g = build_graph("shadow", 2)
-    x, y = labels_by_role(g, shadow_labeling(2))
+    x, y = labels_by_role(g, family_labeling("shadow", 2))
     assert x == [1, 4]
     assert y == [3, 2]
 
 
 def test_splitting_labeling_values():
     g = build_graph("splitting", 3)
-    x, y = labels_by_role(g, splitting_labeling(3))
+    x, y = labels_by_role(g, family_labeling("splitting", 3))
     assert x == [1, 2, 3] and y == [6, 5, 4]
     g = build_graph("splitting", 4)
-    x, y = labels_by_role(g, splitting_labeling(4))
+    x, y = labels_by_role(g, family_labeling("splitting", 4))
     assert x == [1, 2, 3, 4] and y == [8, 7, 6, 5]
 
 
 def test_mycielski_labeling_values():
     g = build_graph("mycielski", 3)
-    lab = mycielski_labeling(3)
+    lab = family_labeling("mycielski", 3)
     x, y = labels_by_role(g, lab)
     assert lab.values[g.index_of("a")] == 4
     assert x == [7, 6, 5] and y == [1, 2, 3]
-    lab2 = mycielski_labeling(2)
+    lab2 = family_labeling("mycielski", 2)
     assert lab2.values == (5, 4, 1, 2, 3)
 
 
 def test_mycielski_apex_is_median():
     for p in PS:
-        lab = mycielski_labeling(p)
+        lab = family_labeling("mycielski", p)
         assert lab.values[-1] == p + 1  # median of 1..2p+1
 
 
+# the ids name the per-family labeling functions that family_labeling
+# replaced, kept so that each case has the same id in every test report
 @pytest.mark.parametrize("p", PS)
-@pytest.mark.parametrize(
-    "family,make",
-    [
-        ("path", path_labeling),
-        ("shadow", shadow_labeling),
-        ("splitting", splitting_labeling),
-        ("mycielski", mycielski_labeling),
-    ],
-)
-def test_all_labelings_bijective(family, make, p):
+@pytest.mark.parametrize("family", ["path", "shadow", "splitting", "mycielski"],
+                         ids=lambda f: f"{f}-{f}_labeling")
+def test_all_labelings_bijective(family, p):
     g = build_graph(family, p)
-    assert verify_bijection(make(p), g.n)
+    assert verify_bijection(family_labeling(family, p), g.n)
 
 
 def test_verify_bijection_rejects_constant():
@@ -97,14 +88,14 @@ def test_verify_bijection_rejects_constant():
     assert not verify_bijection(Labeling((1, 2)), 3)
 
 
-@pytest.mark.parametrize("maker", [shadow_labeling, splitting_labeling, mycielski_labeling])
-def test_labeling_p_validation(maker):
+@pytest.mark.parametrize("family", ["shadow", "splitting", "mycielski"],
+                         ids=lambda f: f"{f}_labeling")
+def test_labeling_p_validation(family):
     with pytest.raises(InvalidParameterError):
-        maker(1)
+        family_labeling(family, 1)
 
 
 def test_family_labeling_dispatch():
-    assert family_labeling("splitting", 4) == splitting_labeling(4)
     with pytest.raises(InvalidParameterError):
         family_labeling("grid", 4)
 

@@ -20,7 +20,6 @@ from racnshare import (
     enumerate_cycles,
     family_coloring,
     fixture_graph,
-    path_graph,
     simulate_dissemination,
     simulate_reconstruction,
 )
@@ -64,7 +63,7 @@ class TestDistribute:
         assert inst.threshold == 4
 
     def test_plain_graph_threshold_is_class_count(self):
-        inst = distribute(path_graph(4), Labeling((1, 2, 3, 4)), b"s")
+        inst = distribute(build_graph("path", 4), Labeling((1, 2, 3, 4)), b"s")
         assert inst.threshold == 3  # weights 3, 5, 7
 
     def test_vertex_holds_one_share_per_incident_class(self):
@@ -273,7 +272,7 @@ class TestCycles:
                 simulate_dissemination(g, informed, max_len=max_len)
 
     def test_tree_has_no_cycles(self):
-        assert enumerate_cycles(path_graph(6), frozenset(range(6))) == []
+        assert enumerate_cycles(build_graph("path", 6), frozenset(range(6))) == []
 
     def test_empty_anchor_short_circuits(self):
         assert enumerate_cycles(fixture_graph(), frozenset()) == []

@@ -27,7 +27,6 @@ from racnshare import (
     edge_weights,
     family_coloring,
     is_rainbow_connected,
-    path_graph,
     racn_exact,
     racn_upper,
 )
@@ -244,7 +243,7 @@ class TestRacnUpper:
         assert racn_upper(g, lab) == 4
 
     def test_none_when_not_rainbow_connected(self):
-        g = path_graph(4)
+        g = build_graph("path", 4)
         # weights 5, 6, 5: the ends see a repeated weight
         assert racn_upper(g, Labeling((1, 4, 2, 3))) is None
 

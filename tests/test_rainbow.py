@@ -17,9 +17,10 @@ from racnshare import (
     edge_weights,
     exists_rainbow_path,
     family_coloring,
+    family_labeling,
     is_rainbow_connected,
     max_new_color_path,
-    path_graph,
+    racn_upper,
     simulate_reconstruction,
     vertex_orbits,
 )
@@ -27,7 +28,7 @@ from racnshare import (
 
 def repeated_weight_path():
     """P_4 with weights 3,5,3: the only end-to-end path repeats a weight."""
-    g = path_graph(4)
+    g = build_graph("path", 4)
     weights = {(0, 1): 3, (1, 2): 5, (2, 3): 3}
     classes = {3: ((0, 1), (2, 3)), 5: ((1, 2),)}
     return g, WeightedColoring(weights=weights, classes=classes)
@@ -107,13 +108,13 @@ class TestIsRainbowConnected:
         assert x2_a.vertices[-1] == g.index_of("a")
 
     def test_identity_path_p5(self):
-        g = path_graph(5)
+        g = build_graph("path", 5)
         w = edge_weights(g, Labeling((1, 2, 3, 4, 5)))
         assert sorted(w.weights.values()) == [3, 5, 7, 9]
         assert is_rainbow_connected(g, w).connected
 
     def test_monochrome_distance2_false(self):
-        g = path_graph(3)
+        g = build_graph("path", 3)
         w = WeightedColoring(
             weights={(0, 1): 4, (1, 2): 4}, classes={4: ((0, 1), (1, 2))}
         )
@@ -153,6 +154,31 @@ class TestIsRainbowConnected:
                 classes[fresh] = (moved,)
                 refined = WeightedColoring(weights=weights, classes=classes)
                 assert is_rainbow_connected(g, refined).connected, (family, p, value)
+
+    def test_racn_upper_builds_no_witness_paths(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("racn_upper called is_rainbow_connected")
+
+        monkeypatch.setattr(rainbow, "is_rainbow_connected", refuse)
+        assert racn_upper(build_graph("path", 600), family_labeling("path", 600)) == 599
+
+    def test_racn_upper_agrees_with_witness_search(self):
+        def expected(g, lab):
+            w = edge_weights(g, lab)
+            return len(w.classes) if is_rainbow_connected(g, w).connected else None
+
+        for family in ("path", "shadow", "splitting", "mycielski"):
+            for p in range(2, 9):
+                g, lab, _ = family_coloring(family, p)
+                assert racn_upper(g, lab) == expected(g, lab), (family, p)
+        rng = random.Random(13)
+        outcomes = set()
+        for _ in range(150):
+            g, lab = random_labeled_graph(rng)
+            got = racn_upper(g, lab)
+            assert got == expected(g, lab), (g.edges, lab.values)
+            outcomes.add(got is None)
+        assert outcomes == {False, True}
 
 
 class TestMaxNewColorPath:
@@ -223,7 +249,7 @@ class TestAutomorphisms:
         assert set(automorphisms(g)) == brute_automorphisms(g)
 
     def test_path_group_order(self):
-        assert len(automorphisms(path_graph(6))) == 2  # identity + reversal
+        assert len(automorphisms(build_graph("path", 6))) == 2  # identity + reversal
 
     def test_orbit_reps_are_minima(self):
         for family in ("shadow", "splitting", "mycielski"):
