@@ -87,9 +87,9 @@ def simulate_reconstruction(
     not-yet-collected classes (ties: fewer edges, then lexicographically
     smallest vertex sequence). ``clamp=True`` caps a phase's haul at k-1
     classes. Greedy reads the rainbow paths at most twice, each read with
-    its own ``rainbow.NODE_BUDGET``: ``max_new_color_path`` picks the first
-    phase, and ``_fewest_edge_paths`` lists the candidates of every later
-    one.
+    its own ``rainbow.NODE_BUDGET``: the first phase, where every edge adds
+    a new class, takes ``max_new_color_path(g, coloring, cap)``, and
+    ``_fewest_edge_paths`` lists the candidates of every later phase.
     ``optimal=True`` replaces greedy with the exhaustive
     minimum-phase cover used by ``empirical_rp``/``empirical_m``; it cannot
     honour the cap, so setting both raises ``InvalidParameterError``.
@@ -110,7 +110,7 @@ def simulate_reconstruction(
         paths = [RainbowPath(vs, tuple(coloring.weight(a, b) for a, b in zip(vs, vs[1:])))
                  for vs in _min_vertex_cover_choice(g, coloring)]
     else:
-        paths = [max_new_color_path(g, coloring, frozenset(), cap)]
+        paths = [max_new_color_path(g, coloring, cap)]
     # each phase takes the candidate (class mask, path) with the most new
     # classes, at most cap, then the fewest edges, then the first listed
     candidates = [(mask(p.weights), p) for p in paths]
@@ -145,38 +145,41 @@ def simulate_reconstruction(
 
 def _rainbow_path_signatures(
     g: Graph, coloring: WeightedColoring
-) -> tuple[list[int], dict[tuple[int, int], tuple[int, ...]]]:
+) -> dict[int, dict[int, tuple[int, ...]]]:
     """Enumerate every rainbow path as (class bitmask, vertex bitmask).
 
-    Returns the sorted class values and, per signature pair, the first path
-    found in lexicographic DFS order (which is the lex-least with that
-    signature). Raises ``BudgetExceededError`` when the budget runs out.
+    Returns ``{class mask: {vertex mask: vertices}}``, keeping per signature
+    the first path in lexicographic DFS order, the lex-least one. Raises
+    ``BudgetExceededError`` when the budget runs out.
     """
-    found: dict[tuple[int, int], tuple[int, ...]] = {}
+    found: dict[int, dict[int, tuple[int, ...]]] = {}
     for taken, seen, used in _rainbow_paths(_adjacency(g, coloring), range(g.n)):
-        if (used, seen) not in found:
-            found[used, seen] = tuple([t[0] for t in taken])
-    return sorted(coloring.classes), found
+        paths = found.get(used)
+        if paths is None:
+            paths = found[used] = {}
+        if seen not in paths:
+            paths[seen] = tuple([t[0] for t in taken])
+    return found
 
 
-def _min_phases(classes: list[int], found: dict[tuple[int, int], tuple[int, ...]]) -> int:
-    """Fewest signatures whose class masks jointly cover every class.
+def _min_phases(k: int, class_masks) -> int:
+    """Fewest of the distinct ``class_masks`` that jointly cover all k classes.
 
     A BFS over unions of the maximal class masks: a cover stays a cover when
     each of its masks grows to a maximal superset, so the others cannot
     lower the count. Union ``rainbow.NODE_BUDGET + 1`` it forms raises
     ``BudgetExceededError``.
     """
-    full = (1 << len(classes)) - 1
+    full = (1 << k) - 1
     maximal: list[int] = []
-    for cm in sorted({c for c, _ in found}, key=lambda m: (-m.bit_count(), m)):
+    for cm in sorted(class_masks, key=lambda m: (-m.bit_count(), m)):
         if not any(big & cm == cm for big in maximal):
             maximal.append(cm)
     reached = {0}
     frontier = [0]
     budget = rainbow.NODE_BUDGET
     unions = 0
-    for depth in range(len(classes) + 1):
+    for depth in range(k + 1):
         if full in reached:
             return depth
         nxt = []
@@ -195,7 +198,7 @@ def _min_phases(classes: list[int], found: dict[tuple[int, int], tuple[int, ...]
 
 def empirical_rp(g: Graph, coloring: WeightedColoring) -> int:
     """Minimum number of rainbow paths jointly covering every weight class."""
-    return _min_phases(*_rainbow_path_signatures(g, coloring))
+    return _min_phases(len(coloring.classes), _rainbow_path_signatures(g, coloring))
 
 
 def empirical_m(g: Graph, coloring: WeightedColoring) -> int:
@@ -218,15 +221,12 @@ def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple
     ``rainbow.NODE_BUDGET`` nodes; this one counts the states it pushes, not
     the root.
     """
-    classes, found = _rainbow_path_signatures(g, coloring)
-    rp = _min_phases(classes, found)
-    full = (1 << len(classes)) - 1
+    found = _rainbow_path_signatures(g, coloring)
+    k = len(coloring.classes)
+    rp = _min_phases(k, found)
+    full = (1 << k) - 1
 
-    by_class_mask: dict[int, list[int]] = {}
-    for cmask, vmask in found:
-        by_class_mask.setdefault(cmask, []).append(vmask)
-
-    def pareto_min(vmasks: list[int]) -> list[int]:
+    def pareto_min(vmasks) -> list[int]:
         vmasks = sorted(vmasks, key=lambda v: (v.bit_count(), v))
         keep: list[int] = []
         for v in vmasks:
@@ -235,12 +235,12 @@ def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple
         return keep
 
     items = sorted(
-        ((c, pareto_min(vs)) for c, vs in by_class_mask.items()),
+        ((c, pareto_min(vs)) for c, vs in found.items()),
         key=lambda cv: (-cv[0].bit_count(), cv[0]),
     )
     # per class bit, the items holding it, in reverse so that the stack pops the first
     holders = [[i for i in reversed(range(len(items))) if items[i][0] >> b & 1]
-               for b in range(len(classes))]
+               for b in range(k)]
     best: tuple[int, list[tuple[int, int]]] = (g.n + 1, [])  # (vertex count, sorted picks)
     stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
     budget = rainbow.NODE_BUDGET
@@ -263,7 +263,7 @@ def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple
                     if nodes > budget:
                         raise BudgetExceededError(_EXHAUSTED)
                     stack.append((cmask | c, trial, (*picks, (i, j))))
-    return sorted(found[items[i][0], items[i][1][j]] for i, j in best[1])
+    return sorted(found[items[i][0]][items[i][1][j]] for i, j in best[1])
 
 
 def _cycles(g: Graph, max_len: int | None, chordless: bool) -> list[tuple[tuple[int, ...], int]]:

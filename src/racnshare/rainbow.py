@@ -24,10 +24,11 @@ it is pushed. ``exists_rainbow_path``, ``is_rainbow_connected`` and
 stop once every target is reached: the path on the stack at the first
 arrival at v is the path a DFS aimed at v would return, so n single-source
 searches replace n(n-1)/2 pair searches.
-``max_new_color_path`` stops at the first path that no later path can
-beat, and the cover search in ``protocol`` reads every path. Greedy
-reconstruction reads the paths at most twice per run: once for its first
-phase, and once, through ``_fewest_edge_paths``, for all the later ones.
+``max_new_color_path`` stops at the first path with as many edges as
+its cap allows, and the cover search in ``protocol`` reads every path.
+Greedy reconstruction reads the paths at most twice per run: once, through
+``max_new_color_path``, for its first phase, where every edge adds a new
+class, and once, through ``_fewest_edge_paths``, for all the later ones.
 
 All searches are deterministic: neighbors are visited in ascending index
 order and ties are broken lexicographically on the vertex sequence, so
@@ -43,7 +44,6 @@ bounds every search.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import partial
 
@@ -213,46 +213,29 @@ def is_rainbow_connected(g: Graph, w: WeightedColoring) -> RainbowConnectivity:
     return RainbowConnectivity(True, witnesses)
 
 
-def max_new_color_path(
-    g: Graph,
-    w: WeightedColoring,
-    collected: frozenset[int] = frozenset(),
-    max_gain: int | None = None,
-) -> RainbowPath:
-    """Rainbow path maximizing the number of weights outside ``collected``.
+def max_new_color_path(g: Graph, w: WeightedColoring, max_gain: int | None = None) -> RainbowPath:
+    """First rainbow path in DFS order with the most edges, at most ``max_gain``.
 
-    Ties go to fewer edges, then to the lexicographically smallest vertex
-    sequence, making the winner unique and reproducible. ``max_gain`` caps
-    the number of newly covered classes a candidate may claim (paths above
-    the cap are traversed but not selected).
-
-    The search keeps the first path whose ``(gain, -edges)`` strictly
-    improves. A rainbow path with class mask c has exactly popcount(c)
-    edges, and the DFS meets paths of equal length in lexicographic order
-    of their vertex sequences, so the first path to reach the best key is
-    the lexicographically smallest among the tied ones. No path gains more
-    than ``top = min(#uncollected, cap)`` classes, nor gains ``top`` on
-    fewer than ``top`` edges, so the search stops at the first path that
-    reaches that key. It raises ``BudgetExceededError`` only when it pushes
-    more than ``NODE_BUDGET`` nodes before it stops.
+    This is greedy reconstruction's first phase: with nothing collected yet,
+    every edge adds a new weight class. The DFS meets paths of equal length
+    in lexicographic order, so the winner is the lexicographically smallest
+    of the longest. No path within the cap has more than
+    ``top = min(#classes, max_gain)`` edges, so the search stops at the
+    first path with ``top`` edges; it raises ``BudgetExceededError`` only
+    when it pushes more than ``NODE_BUDGET`` nodes before it stops.
     """
-    classes = sorted(w.classes)
-    if not set(classes) - set(collected):
-        raise InvalidParameterError("every weight class is already collected")
-    new = sum(1 << i for i, c in enumerate(classes) if c not in collected)
-    cap = len(classes) if max_gain is None else max_gain
-    top = min(new.bit_count(), cap)
-    best, best_key = None, (0, 0)
-    for taken, _, used in _rainbow_paths(_adjacency(g, w), range(g.n)):
-        gain = (used & new).bit_count()
-        if gain <= cap and (gain, -len(taken)) > best_key:
-            best, best_key = _as_path(taken), (gain, -len(taken))
-            if best_key == (top, -1 - top):
+    cap = len(w.classes) if max_gain is None else max_gain
+    top = min(len(w.classes), cap)
+    best, most = None, 0
+    for taken, _, _ in _rainbow_paths(_adjacency(g, w), range(g.n)):
+        edges = len(taken) - 1
+        if most < edges <= cap:
+            best, most = _as_path(taken), edges
+            if edges == top:
                 break
     if best is None:
-        # only reachable with max_gain <= 0; without a cap a single
-        # uncollected edge always yields gain >= 1
-        raise InvalidParameterError("no path adds an uncollected weight class")
+        # only reachable with max_gain <= 0 or a graph with no edge
+        raise InvalidParameterError("no rainbow path has an edge within the gain cap")
     return best
 
 
@@ -262,12 +245,12 @@ def _fewest_edge_paths(g: Graph, w: WeightedColoring, rest: int) -> list[tuple[i
     DFS order of these paths.
 
     ``rest`` and ``used`` are class masks, bit i for the i-th smallest
-    weight. For any ``new`` inside ``rest``, the path ``max_new_color_path``
-    picks under a cap is the entry with the most ``S & new`` classes (at
-    most the cap), then the fewest edges, then the first listed. Under a
-    cap of at least ``popcount(rest)`` the first path with ``used == rest``
-    wins for ``new == rest`` and leaves nothing to collect, so the scan
-    stops there. Pushes follow the budget rule of ``_rainbow_paths``.
+    weight. A greedy phase that lacks the classes ``new``, a mask inside
+    ``rest``, picks the entry with the most ``S & new`` classes (at most
+    the cap), then the fewest edges, then the first listed. Under a cap of
+    at least ``popcount(rest)`` the first path with ``used == rest`` wins
+    for ``new == rest`` and leaves no class to pick, so the scan stops
+    there. Pushes follow the budget rule of ``_rainbow_paths``.
     """
     table: dict[int, tuple] = {}  # S -> taken, in the DFS order of the kept paths
     for taken, _, used in _rainbow_paths(_adjacency(g, w), range(g.n)):
@@ -321,25 +304,17 @@ def vertex_orbits(g: Graph) -> list[int]:
 
 def _max_cardinality_order(g: Graph) -> list[int]:
     """Vertex 0, then repeatedly the unplaced vertex with the most placed
-    neighbours, ties going to the lowest index; O((n + m) log n).
-
-    Heap entries ``(-count, v)`` go stale when v gains another placed
-    neighbour; a popped entry counts only if it still matches.
-    """
-    count = [0] * g.n
-    placed = [False] * g.n
-    heap = [(0, 0)]
+    neighbours, ties going to the lowest index."""
+    count = [0] * g.n  # placed neighbours
+    unplaced = list(range(g.n))
     order = []
-    while heap:
-        c, v = heapq.heappop(heap)
-        if placed[v] or -c != count[v]:
-            continue
-        placed[v] = True
+    while unplaced:
+        # max keeps the first best, the lowest index among ties
+        v = max(unplaced, key=count.__getitem__)
+        unplaced.remove(v)
         order.append(v)
         for x in g.adjacency[v]:
-            if not placed[x]:
-                count[x] += 1
-                heapq.heappush(heap, (-count[x], x))
+            count[x] += 1
     return order
 
 

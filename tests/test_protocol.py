@@ -198,14 +198,15 @@ def test_rp_search_is_budgeted(set_node_budget):
     # reaches depth 3
     g, _, coloring = family_coloring("mycielski", 7)
     set_node_budget(3000)
-    classes, found = _rainbow_path_signatures(g, coloring)
+    found = _rainbow_path_signatures(g, coloring)
+    k = len(coloring.classes)
     with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
         empirical_rp(g, coloring)
     set_node_budget(4689)
     with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-        _min_phases(classes, found)
+        _min_phases(k, found)
     set_node_budget(4690)
-    assert _min_phases(classes, found) == 3
+    assert _min_phases(k, found) == 3
 
 
 class TestCycles:
@@ -406,7 +407,7 @@ def recursive_signatures(g, coloring, node_budget):
     for s in range(g.n):
         path, used = [s], set()
         dfs(s, 0, 1 << s)
-    return classes, found
+    return found
 
 
 SIGNATURE_CELLS = [(f, p) for f in ("shadow", "splitting", "mycielski") for p in range(2, 11)]
@@ -416,10 +417,13 @@ class TestSignaturesMatchRecursive:
     @pytest.mark.parametrize("family,p", SIGNATURE_CELLS)
     def test_same_map_in_same_order(self, family, p):
         g, _, coloring = family_coloring(family, p)
-        classes, found = _rainbow_path_signatures(g, coloring)
-        want_classes, want = recursive_signatures(g, coloring, rainbow.NODE_BUDGET)
-        assert classes == want_classes
-        assert list(found.items()) == list(want.items())
+        found = _rainbow_path_signatures(g, coloring)
+        want = recursive_signatures(g, coloring, rainbow.NODE_BUDGET)
+        grouped = {}  # the flat map by class mask, each in first-found order
+        for (cmask, vmask), path in want.items():
+            grouped.setdefault(cmask, {})[vmask] = path
+        assert [(c, list(vs.items())) for c, vs in found.items()] == \
+            [(c, list(vs.items())) for c, vs in grouped.items()]
 
     @pytest.mark.parametrize("family", ["shadow", "splitting", "mycielski"])
     def test_budget_raises_agree(self, family, set_node_budget):
@@ -438,10 +442,9 @@ class TestSignaturesMatchRecursive:
         assert 1 in raised and 199 not in raised
 
 
-def all_masks_min_phases(classes, found):
+def all_masks_min_phases(k, cmasks):
     """The rp BFS as it was: over unions of every class mask, not only the maximal ones."""
-    full = (1 << len(classes)) - 1
-    cmasks = {c for c, _ in found}
+    full = (1 << k) - 1
     reached = frontier = {0}
     depth = 0
     while full not in reached:
@@ -458,13 +461,10 @@ def recursive_cover_choice(g, coloring):
     each included with one of its Pareto-minimal vertex masks or excluded.
     Returns the chosen paths, sorted, and their vertex set.
     """
-    classes, found = _rainbow_path_signatures(g, coloring)
-    rp = all_masks_min_phases(classes, found)
-    full = (1 << len(classes)) - 1
-
-    by_class_mask = {}
-    for cmask, vmask in found:
-        by_class_mask.setdefault(cmask, []).append(vmask)
+    found = _rainbow_path_signatures(g, coloring)
+    k = len(coloring.classes)
+    rp = all_masks_min_phases(k, set(found))
+    full = (1 << k) - 1
 
     def pareto_min(vmasks):
         vmasks = sorted(vmasks, key=lambda v: (v.bit_count(), v))
@@ -475,7 +475,7 @@ def recursive_cover_choice(g, coloring):
         return keep
 
     items = sorted(
-        ((c, pareto_min(vs)) for c, vs in by_class_mask.items()),
+        ((c, pareto_min(vs)) for c, vs in found.items()),
         key=lambda cv: (-cv[0].bit_count(), cv[0]),
     )
     suffix_union = [0] * (len(items) + 1)
@@ -514,7 +514,8 @@ def recursive_cover_choice(g, coloring):
     union = 0
     for _, vmask in best_pick:
         union |= vmask
-    return sorted(found[pair] for pair in best_pick), {v for v in range(g.n) if union >> v & 1}
+    paths = sorted(found[cmask][vmask] for cmask, vmask in best_pick)
+    return paths, {v for v in range(g.n) if union >> v & 1}
 
 
 # every cell where the recursive search finishes quickly; mycielski p=6 takes
@@ -555,9 +556,8 @@ class TestCoverSearch:
     @pytest.mark.parametrize("family,p", [("shadow", 9), ("shadow", 11), ("splitting", 16)])
     def test_former_frontier_cells_take_one_path(self, family, p):
         g, _, coloring = family_coloring(family, p)
-        classes, found = _rainbow_path_signatures(g, coloring)
-        full = (1 << len(classes)) - 1
-        fewest = min(vmask.bit_count() for cmask, vmask in found if cmask == full)
+        found = _rainbow_path_signatures(g, coloring)
+        fewest = min(vmask.bit_count() for vmask in found[(1 << len(coloring.classes)) - 1])
         assert empirical_rp(g, coloring) == 1
         assert empirical_m(g, coloring) == fewest
 

@@ -11,6 +11,7 @@ search at the certified value checks the witness that ``racn_exact``
 builds by probing.
 """
 
+import heapq
 import itertools
 
 import pytest
@@ -30,7 +31,7 @@ from racnshare import (
     racn_exact,
     racn_upper,
 )
-from racnshare.rainbow import _first_labeling, vertex_orbits
+from racnshare.rainbow import _first_labeling, _max_cardinality_order, vertex_orbits
 
 
 def _rc(n, edges, weight_of):
@@ -106,6 +107,39 @@ def index_order_witness(g, value):
         return is_rainbow_connected(g, edge_weights(g, Labeling(tuple(labels)))).connected
 
     return _first_labeling(g, list(range(g.n)), cands, value, accept)[0]
+
+
+def heap_max_cardinality_order(g):
+    """The heap-driven maximum-cardinality order that the plain scan replaced.
+
+    Heap entries ``(-count, v)`` go stale when v gains another placed
+    neighbour; a popped entry counts only if it still matches.
+    """
+    count = [0] * g.n
+    placed = [False] * g.n
+    heap = [(0, 0)]
+    order = []
+    while heap:
+        c, v = heapq.heappop(heap)
+        if placed[v] or -c != count[v]:
+            continue
+        placed[v] = True
+        order.append(v)
+        for x in g.adjacency[v]:
+            if not placed[x]:
+                count[x] += 1
+                heapq.heappush(heap, (-count[x], x))
+    return order
+
+
+@pytest.mark.parametrize(
+    "family,p",
+    [(f, p) for f in ("shadow", "splitting", "mycielski", "path") for p in range(2, 11)]
+    + [("path", 1100)],
+)
+def test_vertex_order_matches_heap(family, p):
+    g = build_graph(family, p)
+    assert _max_cardinality_order(g) == heap_max_cardinality_order(g)
 
 
 FROZEN = {
@@ -273,6 +307,7 @@ def test_random_graphs_match_scan(data):
     # spanning path keeps it connected; extras densify
     edges = sorted(set(zip(range(n - 1), range(1, n))) | extra)
     g = custom_graph(n, edges)
+    assert _max_cardinality_order(g) == heap_max_cardinality_order(g)
     assert racn_exact(g).value == brute_racn(g)
 
 
@@ -289,6 +324,7 @@ def test_random_graphs_match_first_min_labeling(data):
     pool = list(itertools.combinations(range(n), 2))
     extra = data.draw(st.sets(st.sampled_from(pool), max_size=len(pool)))
     g = custom_graph(n, sorted(tree | extra))
+    assert _max_cardinality_order(g) == heap_max_cardinality_order(g)
     cert = racn_exact(g)
     assert (cert.value, cert.witness.values) == first_min_labeling(g)
 
@@ -307,5 +343,6 @@ def test_random_graphs_match_index_order_search(data):
     pool = [e for e in itertools.combinations(range(n), 2) if e not in tree]
     extra = data.draw(st.sets(st.sampled_from(pool), min_size=3, max_size=n))
     g = custom_graph(n, sorted(tree | extra))
+    assert _max_cardinality_order(g) == heap_max_cardinality_order(g)
     cert = racn_exact(g, max_n=9)
     assert cert.witness.values == index_order_witness(g, cert.value)

@@ -203,20 +203,11 @@ class TestMaxNewColorPath:
         assert p.vertices == (1, 0, 3, 4, 2)
         assert p.weights == (9, 7, 5, 4)
 
-    def test_one_missing_class_gains_single_edge(self):
-        g, _, w = family_coloring("shadow", 4)
-        values = sorted(w.classes)
-        collected = frozenset(values[:-1])
-        p = max_new_color_path(g, w, collected)
-        missing = values[-1]
-        assert p.edge_count == 1
-        assert p.weights == (missing,)
-        assert p.vertices == min(w.classes[missing])
-
-    def test_everything_collected_rejected(self):
-        g, _, w = family_coloring("shadow", 4)
+    def test_graph_without_edges_rejected(self):
+        # max_gain=0 is test_gain_cap_of_zero_raises_in_both below
+        single = custom_graph(1, [])
         with pytest.raises(InvalidParameterError):
-            max_new_color_path(g, w, frozenset(w.classes))
+            max_new_color_path(single, edge_weights(single, Labeling((1,))))
 
     def test_deterministic(self):
         g, _, w = family_coloring("mycielski", 4)
@@ -446,13 +437,6 @@ def recursive_max_new_color_path(g, w, collected=frozenset(), node_budget=1_000_
     return RainbowPath(tuple(best[1]), tuple(best[2]))
 
 
-def collected_sets(w):
-    """Nothing, the smallest class, every other class, all but the largest."""
-    classes = sorted(w.classes)
-    return [frozenset(), frozenset(classes[:1]), frozenset(classes[::2]),
-            frozenset(classes[:-1])]
-
-
 FAMILY_CELLS = [(f, p) for f in ("shadow", "splitting", "mycielski") for p in range(2, 11)]
 
 
@@ -460,12 +444,9 @@ class TestMaxNewColorPathMatchesRecursive:
     @pytest.mark.parametrize("family,p", FAMILY_CELLS)
     def test_same_winner(self, family, p):
         g, _, w = family_coloring(family, p)
-        k = len(w.classes)
-        for collected in collected_sets(w):
-            for max_gain in (None, k - 1, 1):
-                assert max_new_color_path(g, w, collected, max_gain=max_gain) == \
-                    recursive_max_new_color_path(g, w, collected, max_gain=max_gain), \
-                    (sorted(collected), max_gain)
+        for max_gain in (None, len(w.classes) - 1, 1):
+            assert max_new_color_path(g, w, max_gain=max_gain) == \
+                recursive_max_new_color_path(g, w, max_gain=max_gain), max_gain
 
     def test_gain_cap_of_zero_raises_in_both(self):
         g, _, w = family_coloring("shadow", 3)
@@ -477,14 +458,13 @@ class TestMaxNewColorPathMatchesRecursive:
     def test_budget_raises_agree(self, family, set_node_budget):
         g, _, w = family_coloring(family, 3)
         raised = set()
-        for budget in range(1, 200, 3):
+        for budget in range(1, 200):
             set_node_budget(budget)
-            for collected in collected_sets(w):
-                got = outcome(max_new_color_path, g, w, collected)
-                want = outcome(recursive_max_new_color_path, g, w, collected, budget, stop=True)
-                assert got == want, (budget, sorted(collected))
-                if want == "budget":
-                    raised.add(budget)
+            got = outcome(max_new_color_path, g, w)
+            want = outcome(recursive_max_new_color_path, g, w, node_budget=budget, stop=True)
+            assert got == want, budget
+            if want == "budget":
+                raised.add(budget)
         assert 1 in raised and 199 not in raised
 
     def test_stop_is_the_full_scan_winner(self):
@@ -492,11 +472,9 @@ class TestMaxNewColorPathMatchesRecursive:
         # the stopped scan and the full one pick the same path
         for family, p in FAMILY_CELLS[::3]:
             g, _, w = family_coloring(family, p)
-            for collected in collected_sets(w):
-                for max_gain in (None, len(w.classes) - 1, 1):
-                    assert recursive_max_new_color_path(g, w, collected, max_gain=max_gain,
-                                                        stop=True) == \
-                        recursive_max_new_color_path(g, w, collected, max_gain=max_gain)
+            for max_gain in (None, len(w.classes) - 1, 1):
+                assert recursive_max_new_color_path(g, w, max_gain=max_gain, stop=True) == \
+                    recursive_max_new_color_path(g, w, max_gain=max_gain)
 
 
 def per_phase_greedy(g, w, clamp):
