@@ -167,32 +167,25 @@ def _min_phases(k: int, class_masks) -> int:
 
     A BFS over unions of the maximal class masks: a cover stays a cover when
     each of its masks grows to a maximal superset, so the others cannot
-    lower the count. Union ``rainbow.NODE_BUDGET + 1`` it forms raises
-    ``BudgetExceededError``.
+    lower the count. Each level is charged its unions, frontier size times
+    mask count, before it is formed; past ``rainbow.NODE_BUDGET`` unions in
+    all it raises ``BudgetExceededError``.
     """
     full = (1 << k) - 1
     maximal: list[int] = []
     for cm in sorted(class_masks, key=lambda m: (-m.bit_count(), m)):
         if not any(big & cm == cm for big in maximal):
             maximal.append(cm)
-    reached = {0}
-    frontier = [0]
-    budget = rainbow.NODE_BUDGET
+    reached, frontier = {0}, {0}
     unions = 0
     for depth in range(k + 1):
         if full in reached:
             return depth
-        nxt = []
-        for m in frontier:
-            for cm in maximal:
-                unions += 1
-                if unions > budget:
-                    raise BudgetExceededError(_EXHAUSTED)
-                u = m | cm
-                if u not in reached:
-                    reached.add(u)
-                    nxt.append(u)
-        frontier = nxt
+        unions += len(frontier) * len(maximal)
+        if unions > rainbow.NODE_BUDGET:
+            raise BudgetExceededError(_EXHAUSTED)
+        frontier = {m | cm for m in frontier for cm in maximal} - reached
+        reached |= frontier
     raise InvalidParameterError("no rainbow-path cover exists")
 
 

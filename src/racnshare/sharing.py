@@ -6,6 +6,8 @@ a's row, the 256 products of a, built by shift-and-reduce on a's first use
 and cached. Each secret byte is split independently: a random polynomial
 of degree k-1 with the byte as constant term is evaluated at the share
 indexes, and Lagrange interpolation at 0 recovers the byte from any k shares.
+Recovery maps each whole payload through the row of its Lagrange basis value
+with one ``bytes.translate`` and XORs the results as integers.
 
 Without a seed the coefficients come from ``os.urandom``, so fewer than k
 shares say nothing about the secret. A seed makes a split reproducible, but
@@ -64,7 +66,7 @@ class SecretConfig:
 
     def __post_init__(self) -> None:
         k, n, seed = self.threshold, self.share_count, self.seed
-        if not (isinstance(k, int) and isinstance(n, int) and isinstance(seed, (int, type(None)))):
+        if not (type(k) is int and type(n) is int and (seed is None or type(seed) is int)):
             raise InvalidParameterError("threshold, share_count, seed must be integers")
         if not 1 <= k <= n <= 255:
             raise InvalidParameterError(
@@ -78,8 +80,10 @@ class Share:
     payload: bytes
 
     def __post_init__(self) -> None:
-        if not 1 <= self.index <= 255:
+        if type(self.index) is not int or not 1 <= self.index <= 255:
             raise InvalidParameterError(f"share index must be in 1..255, got {self.index}")
+        if not self.payload:
+            raise InvalidParameterError("share payload must be nonempty")
 
 
 def split(secret: bytes, cfg: SecretConfig) -> list[Share]:
@@ -110,7 +114,8 @@ def split(secret: bytes, cfg: SecretConfig) -> list[Share]:
 
 
 def reconstruct(shares: list[Share], k: int) -> bytes:
-    """Lagrange-interpolate at 0 using all given shares (at least k)."""
+    """Lagrange-interpolate at 0 using all given shares (at least k): each whole
+    payload maps through its basis value's row, and the results XOR as integers."""
     if k < 1:
         raise InvalidParameterError(f"threshold k must be >= 1, got {k}")
     if len(shares) < k:
@@ -131,10 +136,7 @@ def reconstruct(shares: list[Share], k: int) -> bytes:
             num = gf_mul(num, xj)
             den = gf_mul(den, xj ^ xi)
         basis.append(_row(gf_mul(num, gf_inv(den))))
-    out = bytearray(length)
-    for pos in range(length):
-        acc = 0
-        for share, row in zip(shares, basis):
-            acc ^= row[share.payload[pos]]
-        out[pos] = acc
-    return bytes(out)
+    acc = 0
+    for share, row in zip(shares, basis):
+        acc ^= int.from_bytes(share.payload.translate(row), "big")
+    return acc.to_bytes(length, "big")

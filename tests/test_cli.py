@@ -251,6 +251,17 @@ class TestShares:
         code, out, err = run(capsys, "reconstruct", "--shares-file", str(path), "--k", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["--k", "1", "--share", "1:"],
+        ["--k", "2", "--share", "1:", "--share", "2:"],
+        ["--k", "1", "--shares-file", "{file}"],
+    ], ids=["one-share", "two-shares", "shares-file"])
+    def test_empty_share_payload_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "shares.json"
+        path.write_text(json.dumps([{"index": 1, "payload_hex": ""}]))
+        code, out, err = run(capsys, "reconstruct", *(arg.format(file=path) for arg in argv))
+        assert (code, out, err) == (2, "", "error: share payload must be nonempty\n")
+
     @pytest.mark.parametrize("k,shares", [
         ("0", []), ("-2", ["--share", "1:ab"]),
     ], ids=["k0-no-shares", "k-2-one-share"])

@@ -85,11 +85,28 @@ class TestConfig:
     def test_seed_defaults_to_none(self):
         assert SecretConfig(threshold=2, share_count=3).seed is None
 
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold": True, "share_count": 2},
+        {"threshold": 1, "share_count": True},
+        {"threshold": 1, "share_count": 2, "seed": False},
+    ], ids=["threshold", "share_count", "seed"])
+    def test_rejects_bools(self, kwargs):
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            SecretConfig(**kwargs)
+
     def test_share_index_range(self):
         with pytest.raises(InvalidParameterError):
             Share(index=0, payload=b"a")
         with pytest.raises(InvalidParameterError):
             Share(index=256, payload=b"a")
+
+    def test_share_index_is_not_a_bool(self):
+        with pytest.raises(InvalidParameterError, match="share index must be in 1..255, got True"):
+            Share(index=True, payload=b"a")
+
+    def test_share_payload_nonempty(self):
+        with pytest.raises(InvalidParameterError, match="share payload must be nonempty"):
+            Share(index=1, payload=b"")
 
 
 class TestSplitReconstruct:
@@ -282,6 +299,11 @@ def oracle_cases():
     for case, (k, n) in enumerate(cases):
         length = rng.randint(1, 24 if k * n <= 400 else 3)
         yield k, n, bytes(rng.randrange(256) for _ in range(length)), rng.randrange(2**32), case
+    # leading zero bytes, which a result sized from the recovered integer would drop
+    explicit = [(2, 3, b"\x00"), (3, 5, b"\x00\x00\x07"),
+                (9, 17, b"\x00" + bytes(rng.randrange(256) for _ in range((1 << 16) - 1)))]
+    for case, (k, n, secret) in enumerate(explicit, start=len(cases)):
+        yield k, n, secret, rng.randrange(2**32), case
 
 
 ORACLE_CASES = list(oracle_cases())
