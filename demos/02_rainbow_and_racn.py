@@ -11,8 +11,8 @@ from racnshare import (
     edge_weights,
     family_coloring,
     is_rainbow_connected,
-    k_closed_form,
     racn_exact,
+    scheme_parameters,
 )
 
 if __name__ == "__main__":
@@ -26,9 +26,10 @@ if __name__ == "__main__":
         g, lab, w = family_coloring(family, p)
         assert is_rainbow_connected(g, w).connected
         cert = racn_exact(build_graph(family, p))
-        mark = " " if cert.value == k_closed_form(family, p) else "<"
+        k = scheme_parameters(family, p).k
+        mark = " " if cert.value == k else "<"
         labels = ",".join(str(x) for x in cert.witness.values)
-        print(f"{family:<10} {p:>3}   {k_closed_form(family, p):>12} "
+        print(f"{family:<10} {p:>3}   {k:>12} "
               f"{cert.value:>7}{mark}  [{labels}]")
     print()
     print("'<' marks instances where the exact minimum undercuts the")

@@ -20,9 +20,6 @@ from .formulas import (
     SchemeParameters,
     ValidationReport,
     ValidationRow,
-    k_closed_form,
-    m_closed_form,
-    rp_closed_form,
     scheme_parameters,
     theorem_lower_bound,
     validate_family,

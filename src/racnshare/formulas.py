@@ -15,78 +15,32 @@ from dataclasses import dataclass
 
 from . import protocol
 from .errors import BudgetExceededError, InvalidParameterError
-from .graphs import _require_p, build_graph, degree_stats
+from .graphs import build_graph, degree_stats
 from .labelings import family_coloring
 from .rainbow import DEFAULT_MAX_N, racn_exact
 
 SCHEME_FAMILIES = ("shadow", "splitting", "mycielski")
 
 
-def _check(family: str, p: int) -> None:
-    if family not in SCHEME_FAMILIES:
-        raise InvalidParameterError(
-            f"family must be one of {SCHEME_FAMILIES}, got {family!r}"
-        )
-    _require_p(p)
-
-
-def k_closed_form(family: str, p: int) -> int:
-    """Number of shares / weight classes produced by the construction."""
-    _check(family, p)
-    if family == "shadow":
-        return p + 1 if p % 2 == 0 else p + 3
-    if family == "splitting":
-        return p + 1
-    return 2 * p
-
-
-def m_closed_form(family: str, p: int) -> int:
-    """The paper's participant count m, as a closed form in p.
-
-    This is the paper's value for the quantity ``empirical_m`` computes:
-    the fewest distinct participants over all covers that use the fewest
-    phases. ``validate_family`` reports every p where search departs from
-    it. The paper's text in this repository does not fix the definition
-    of m, so the minimum-phase reading is the package's.
-    """
-    _check(family, p)
-    if family == "shadow":
-        return (2 * p + 5 + (-1) ** (p - 1)) // 2
-    if family == "splitting":
-        return p + 1 if p == 3 else p + 2
-    return 2 * p + 1
-
-
-def rp_closed_form(family: str, p: int) -> int:
-    """The paper's reconstruction phase count rp, as a closed form in p.
-
-    This is the paper's value for the quantity ``empirical_rp`` computes:
-    the fewest rainbow paths that together cover every weight class.
-    ``validate_family`` reports every p where search beats it. The paper's
-    text in this repository does not fix the definition of rp.
-    """
-    _check(family, p)
-    if family == "shadow":
-        return 1 if p % 2 == 0 else 2
-    if family == "splitting":
-        return 2 if p == 3 else 1
-    return (2 * p + 1 + (-1) ** (p - 1)) // 4
-
-
-def theorem_lower_bound(family: str, p: int) -> int:
-    """Degree-based lower bound on the color count, from the graph itself."""
-    _check(family, p)
-    g = build_graph(family, p)
-    lo, hi = degree_stats(g)
-    if family == "shadow":
-        return (p - 1) + (lo if p % 2 == 0 else hi)
-    if family == "splitting":
-        return (p - 1) + lo + 1
-    return (p - 1) + hi + 1
-
-
 @dataclass(frozen=True)
 class SchemeParameters:
+    """The paper's closed forms for the family graph on P_p.
+
+    * ``k``: the number of shares, one per weight class of the construction.
+    * ``m``: the paper's participant count, its value for the quantity
+      ``empirical_m`` computes: the fewest distinct participants over all
+      covers that use the fewest phases.
+    * ``rp``: the paper's reconstruction phase count, its value for the
+      quantity ``empirical_rp`` computes: the fewest rainbow paths that
+      together cover every weight class.
+    * ``lower_bound``: a degree-based lower bound on the color count, read
+      from the graph itself.
+
+    ``validate_family`` reports every p where search departs from m or rp.
+    The paper's text in this repository fixes the definition of neither, so
+    the minimum-phase reading of m is the package's.
+    """
+
     family: str
     p: int
     n: int
@@ -97,16 +51,34 @@ class SchemeParameters:
 
 
 def scheme_parameters(family: str, p: int) -> SchemeParameters:
-    _check(family, p)
-    return SchemeParameters(
-        family=family,
-        p=p,
-        n=build_graph(family, p).n,
-        k=k_closed_form(family, p),
-        m=m_closed_form(family, p),
-        rp=rp_closed_form(family, p),
-        lower_bound=theorem_lower_bound(family, p),
-    )
+    """The closed forms of ``family`` (one of SCHEME_FAMILIES) at p >= 2."""
+    if family not in SCHEME_FAMILIES:
+        raise InvalidParameterError(
+            f"family must be one of {SCHEME_FAMILIES}, got {family!r}"
+        )
+    g = build_graph(family, p)
+    lo, hi = degree_stats(g)
+    if family == "shadow":
+        k = p + 1 if p % 2 == 0 else p + 3
+        m = (2 * p + 5 + (-1) ** (p - 1)) // 2
+        rp = 1 if p % 2 == 0 else 2
+        bound = (p - 1) + (lo if p % 2 == 0 else hi)
+    elif family == "splitting":
+        k = p + 1
+        m = p + 1 if p == 3 else p + 2
+        rp = 2 if p == 3 else 1
+        bound = (p - 1) + lo + 1
+    else:
+        k = 2 * p
+        m = 2 * p + 1
+        rp = (2 * p + 1 + (-1) ** (p - 1)) // 4
+        bound = (p - 1) + hi + 1
+    return SchemeParameters(family, p, g.n, k, m, rp, bound)
+
+
+def theorem_lower_bound(family: str, p: int) -> int:
+    """Degree-based lower bound on the color count, from the graph itself."""
+    return scheme_parameters(family, p).lower_bound
 
 
 @dataclass(frozen=True)

@@ -330,7 +330,7 @@ def _reaches(nbrs: list[int], u: int, free: int, targets: int) -> bool:
     return False
 
 
-def _check_max_len(max_len: int | None) -> None:
+def _require_max_len(max_len: int | None) -> None:
     if max_len is not None and max_len < 3:
         raise InvalidParameterError(f"max_len must be at least 3, got {max_len}")
 
@@ -350,7 +350,7 @@ def enumerate_cycles(
     ``rainbow.NODE_BUDGET`` budget counts every push of the cycle search over
     the whole graph, anchored or not.
     """
-    _check_max_len(max_len)
+    _require_max_len(max_len)
     if not anchor:
         return []
     anchor = frozenset(anchor)
@@ -402,7 +402,7 @@ def simulate_dissemination(
     """
     if not informed0:
         raise InvalidParameterError("the informed start set must be nonempty")
-    _check_max_len(max_len)
+    _require_max_len(max_len)
     for v in informed0:
         if not 0 <= v < g.n:
             raise InvalidParameterError(f"vertex {v} out of range")

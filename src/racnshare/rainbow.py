@@ -344,6 +344,9 @@ def _first_labeling(
     being the labels of x's placed neighbours as a bitmask. Such a subtree
     holds no complete labeling within the bound, so the leaves reached, and
     their order, are those of the search without this check.
+
+    Each label placed is a pushed node under the module's budget rule:
+    placement ``NODE_BUDGET + 1`` in one call raises ``BudgetExceededError``.
     """
     n = g.n
     pos = [0] * n
@@ -363,7 +366,8 @@ def _first_labeling(
     # labels taken by positions 0..k-1
     untried, weights, taken = [0] * n, [0] * n, [0] * n
     untried[0] = cands[order[0]]
-    leaves = 0
+    budget = NODE_BUDGET
+    placed = leaves = 0
     k = 0
     while k >= 0:
         v = order[k]
@@ -394,6 +398,9 @@ def _first_labeling(
         else:
             k -= 1
             continue
+        placed += 1
+        if placed > budget:
+            raise BudgetExceededError(_EXHAUSTED)
         untried[k] = c
         labels[v] = lab
         for x in later[v]:

@@ -116,6 +116,8 @@ def split(secret: bytes, cfg: SecretConfig) -> list[Share]:
 def reconstruct(shares: list[Share], k: int) -> bytes:
     """Lagrange-interpolate at 0 using all given shares (at least k): each whole
     payload maps through its basis value's row, and the results XOR as integers."""
+    if type(k) is not int:
+        raise InvalidParameterError(f"threshold k must be an integer, got {k!r}")
     if k < 1:
         raise InvalidParameterError(f"threshold k must be >= 1, got {k}")
     if len(shares) < k:

@@ -28,14 +28,12 @@ from racnshare import (
     family_coloring,
     fixture_graph,
     is_rainbow_connected,
-    k_closed_form,
-    m_closed_form,
     racn_exact,
-    rp_closed_form,
     simulate_dissemination,
     simulate_reconstruction,
     split,
     reconstruct,
+    scheme_parameters,
     theorem_lower_bound,
     validate_family,
 )
@@ -59,7 +57,7 @@ def test_criterion_1():
         for p in range(2, 11):
             _, _, coloring = family_coloring(family, p)
             got = len(coloring.classes)
-            want = k_closed_form(family, p)
+            want = scheme_parameters(family, p).k
             if got != want:
                 bad.append(f"{family} p={p}: {got} != {want}")
     elapsed = time.perf_counter() - t0
@@ -209,9 +207,9 @@ def test_criterion_4():
         problems.append(f"exact {exact} != oracle {oracle}")
 
     for (family, p), value in paper.items():
-        if family != "path" and k_closed_form(family, p) != value:
-            problems.append(f"{family} p={p}: k_closed_form "
-                            f"{k_closed_form(family, p)} != paper {value}")
+        if family != "path" and scheme_parameters(family, p).k != value:
+            problems.append(f"{family} p={p}: closed-form k "
+                            f"{scheme_parameters(family, p).k} != paper {value}")
         if exact[family, p] > value:
             problems.append(f"{family} p={p}: exact {exact[family, p]} "
                             f"exceeds paper {value}")
@@ -374,7 +372,7 @@ def test_criterion_6():
             g, lab, coloring = family_coloring(family, p)
             observed = (empirical_rp(g, coloring), empirical_m(g, coloring))
             oracle = oracle_cover(g, lab.values)
-            formulas = (rp_closed_form(family, p), m_closed_form(family, p))
+            formulas = (scheme_parameters(family, p).rp, scheme_parameters(family, p).m)
             expected = (rp_expected(family, p), m_expected(family, p))
             if observed != oracle:
                 problems.append(f"{family} p={p}: (rp, m) observed {observed} "

@@ -378,6 +378,12 @@ class TestSimulations:
                              "--p", "4", "--informed", "x1")
         assert (code, out, err) == (3, "", "error: path-search node budget exhausted\n")
 
+    def test_racn_exact_out_of_budget_exits_3(self, capsys, set_node_budget):
+        # shadow p=4's leaf tests fit in 13 nodes; one labeling pass places 607 labels
+        set_node_budget(606)
+        code, out, err = run(capsys, "racn", "--exact", "--family", "shadow", "--p", "4")
+        assert (code, out, err) == (3, "", "error: path-search node budget exhausted\n")
+
     def test_dissemination_p_0_names_p(self, capsys):
         code, out, err = run(capsys, "simulate-dissemination", "--family", "shadow",
                              "--p", "0", "--informed", "x1")

@@ -3,16 +3,62 @@ import pytest
 from racnshare import (
     InvalidParameterError,
     SCHEME_FAMILIES,
+    SchemeParameters,
+    build_graph,
+    degree_stats,
     family_coloring,
-    k_closed_form,
-    m_closed_form,
     racn_exact,
-    rp_closed_form,
     scheme_parameters,
     theorem_lower_bound,
     validate_family,
 )
 from racnshare.protocol import _rainbow_path_signatures
+
+
+# The closed forms as the paper writes them, one function per quantity: the
+# oracle that ``scheme_parameters`` must match cell for cell.
+
+def oracle_k(family, p):
+    if family == "shadow":
+        return p + 1 if p % 2 == 0 else p + 3
+    if family == "splitting":
+        return p + 1
+    return 2 * p
+
+
+def oracle_m(family, p):
+    if family == "shadow":
+        return (2 * p + 5 + (-1) ** (p - 1)) // 2
+    if family == "splitting":
+        return p + 1 if p == 3 else p + 2
+    return 2 * p + 1
+
+
+def oracle_rp(family, p):
+    if family == "shadow":
+        return 1 if p % 2 == 0 else 2
+    if family == "splitting":
+        return 2 if p == 3 else 1
+    return (2 * p + 1 + (-1) ** (p - 1)) // 4
+
+
+def oracle_lower_bound(family, p):
+    lo, hi = degree_stats(build_graph(family, p))
+    if family == "shadow":
+        return (p - 1) + (lo if p % 2 == 0 else hi)
+    if family == "splitting":
+        return (p - 1) + lo + 1
+    return (p - 1) + hi + 1
+
+
+@pytest.mark.parametrize("family", SCHEME_FAMILIES)
+def test_scheme_parameters_match_the_oracle(family):
+    for p in range(2, 61):
+        assert scheme_parameters(family, p) == SchemeParameters(
+            family, p, build_graph(family, p).n, oracle_k(family, p),
+            oracle_m(family, p), oracle_rp(family, p), oracle_lower_bound(family, p),
+        ), p
+        assert theorem_lower_bound(family, p) == oracle_lower_bound(family, p), p
 
 
 SPOT_VALUES = [
@@ -29,28 +75,27 @@ SPOT_VALUES = [
 
 @pytest.mark.parametrize("family,p,k,m,rp,bound", SPOT_VALUES)
 def test_spot_values(family, p, k, m, rp, bound):
-    assert k_closed_form(family, p) == k
-    assert m_closed_form(family, p) == m
-    assert rp_closed_form(family, p) == rp
+    sp = scheme_parameters(family, p)
+    assert (sp.k, sp.m, sp.rp, sp.lower_bound) == (k, m, rp, bound)
     assert theorem_lower_bound(family, p) == bound
 
 
 def test_shadow_m_parity_identity():
     for p in range(2, 13):
         expected = p + 2 if p % 2 == 0 else p + 3
-        assert m_closed_form("shadow", p) == expected
+        assert scheme_parameters("shadow", p).m == expected
 
 
 def test_mycielski_rp_is_half_p_rounded_up():
     for p in range(2, 13):
-        assert rp_closed_form("mycielski", p) == (p + 1) // 2
+        assert scheme_parameters("mycielski", p).rp == (p + 1) // 2
 
 
 @pytest.mark.parametrize("family", SCHEME_FAMILIES)
 def test_k_matches_constructed_class_count(family):
     for p in range(2, 11):
         _, _, coloring = family_coloring(family, p)
-        assert k_closed_form(family, p) == len(coloring.classes)
+        assert scheme_parameters(family, p).k == len(coloring.classes)
 
 
 def test_bound_vs_class_count_small_range():
@@ -60,7 +105,7 @@ def test_bound_vs_class_count_small_range():
         (f, p)
         for f in SCHEME_FAMILIES
         for p in range(2, 11)
-        if theorem_lower_bound(f, p) > k_closed_form(f, p)
+        if scheme_parameters(f, p).lower_bound > scheme_parameters(f, p).k
     ]
     assert exceeding == [("mycielski", 3)]
 
@@ -73,16 +118,21 @@ def test_scheme_parameters_fields():
     assert scheme_parameters("splitting", 5).n == 10
 
 
-@pytest.mark.parametrize("fn", [k_closed_form, m_closed_form, rp_closed_form, theorem_lower_bound])
+BAD_INPUTS = [
+    ("shadow", 1, "p must be an integer >= 2, got 1"),
+    ("shadow", "3", "p must be an integer >= 2, got '3'"),
+    ("path", 3, "family must be one of ('shadow', 'splitting', 'mycielski'), got 'path'"),
+    ("grid", 3, "family must be one of ('shadow', 'splitting', 'mycielski'), got 'grid'"),
+]
+
+
+@pytest.mark.parametrize("fn", [scheme_parameters, theorem_lower_bound])
 def test_rejects_bad_inputs(fn):
-    with pytest.raises(InvalidParameterError):
-        fn("shadow", 1)
-    with pytest.raises(InvalidParameterError):
-        fn("shadow", "3")
-    with pytest.raises(InvalidParameterError):
-        fn("path", 3)
-    with pytest.raises(InvalidParameterError):
-        fn("grid", 3)
+    for family, p, message in BAD_INPUTS:
+        with pytest.raises(InvalidParameterError) as info:
+            fn(family, p)
+        assert type(info.value) is InvalidParameterError
+        assert str(info.value) == message
 
 
 class TestValidateFamily:

@@ -261,10 +261,23 @@ def test_too_large_raises():
 
 
 def test_leaf_search_is_budgeted(set_node_budget):
-    # the leaf test from vertex 0 pushes 1, then 2: the second push is past a budget of 1
-    set_node_budget(1)
-    with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-        racn_exact(build_graph("path", 3))
+    # splitting p=3's first pass places its 6 labels without backtracking,
+    # then the leaf test from x2 pushes 7 nodes: the 7th is past a budget of 6
+    set_node_budget(6)
+    with pytest.raises(BudgetExceededError, match="path-search node budget exhausted") as info:
+        racn_exact(build_graph("splitting", 3))
+    assert info.traceback[-1].name == "_rainbow_paths"
+
+
+def test_labeling_search_is_budgeted(set_node_budget):
+    # shadow p=4's leaf tests push at most 13 nodes each, and its largest
+    # labeling pass places 607 labels: the 607th is past a budget of 606
+    set_node_budget(606)
+    with pytest.raises(BudgetExceededError, match="path-search node budget exhausted") as info:
+        racn_exact(build_graph("shadow", 4))
+    assert info.traceback[-1].name == "_first_labeling"
+    set_node_budget(607)
+    assert racn_exact(build_graph("shadow", 4)).value == 5
 
 
 class TestRacnUpper:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,16 @@ class TestSplitReconstruct:
         shares = split(b"hi", SecretConfig(2, 3))
         for given in ([], shares[:1], shares):
             with pytest.raises(InvalidParameterError, match=f"k must be >= 1, got {k}"):
+                reconstruct(given, k)
+
+    @pytest.mark.parametrize("k", [True, 1.5, "2"])
+    def test_threshold_not_an_int_rejected(self, k):
+        # True would run as k=1 on one share, 1.5 would pass the checks and
+        # "2" would fail its comparison with TypeError
+        shares = split(b"hi", SecretConfig(2, 3))
+        for given in (shares[:1], shares):
+            with pytest.raises(InvalidParameterError,
+                               match=re.escape(f"threshold k must be an integer, got {k!r}")):
                 reconstruct(given, k)
 
     def test_wrong_share_reconstructs_wrong(self):
