@@ -126,7 +126,15 @@ BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("fn", [scheme_parameters, theorem_lower_bound])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        pytest.param(lambda f, p: scheme_parameters(f, p).k, id="k_closed_form"),
+        pytest.param(lambda f, p: scheme_parameters(f, p).m, id="m_closed_form"),
+        pytest.param(lambda f, p: scheme_parameters(f, p).rp, id="rp_closed_form"),
+        theorem_lower_bound,
+    ],
+)
 def test_rejects_bad_inputs(fn):
     for family, p, message in BAD_INPUTS:
         with pytest.raises(InvalidParameterError) as info:
