@@ -191,10 +191,13 @@ def validate_family(
             rp_obs = m_obs = None
             gaps.append("m/rp search skipped: budget exceeded")
         racn_value = None
-        if g.n <= racn_max_n:
-            racn_value = racn_exact(g, max_n=racn_max_n).value
-        else:
+        if g.n > racn_max_n:
             gaps.append(f"exact racn skipped: n={g.n} > {racn_max_n}")
+        else:
+            try:
+                racn_value = racn_exact(g, max_n=racn_max_n).value
+            except BudgetExceededError:
+                gaps.append("exact racn skipped: budget exceeded")
         y_pair_sums = ()
         if family == "splitting":
             # the construction has no y-y edges; these sums show what weights

@@ -151,3 +151,29 @@ def diameter(g: Graph) -> int:
             v, depth = parent[v], depth + 1
         best = max(best, depth)
     return best
+
+
+def bridge_count(g: Graph) -> int:
+    """Edges whose removal disconnects the connected graph ``g``: one
+    iterative DFS from vertex 0 with Tarjan's low points, O(n + m)."""
+    depth = [-1] * g.n
+    low = [0] * g.n
+    depth[0] = 0
+    # frame: a vertex, its DFS parent (-1 for the root) and its unread neighbours
+    stack = [(0, -1, iter(g.adjacency[0]))]
+    count = 0
+    while stack:
+        v, parent, nbrs = stack[-1]
+        for u in nbrs:
+            if depth[u] < 0:
+                depth[u] = low[u] = depth[v] + 1
+                stack.append((u, v, iter(g.adjacency[u])))
+                break
+            if u != parent:
+                low[v] = min(low[v], depth[u])
+        else:
+            stack.pop()
+            if parent >= 0:
+                low[parent] = min(low[parent], low[v])
+                count += low[v] > depth[parent]
+    return count

@@ -10,11 +10,8 @@ computed exactly by ``racn_exact`` for small graphs.
 backtracking search, ``_first_labeling``, in maximum-cardinality vertex
 order: it proves the infeasible levels, and at the first feasible one it
 builds the lexicographically first witness in index order by probing, one
-vertex at a time, for the smallest label that still completes. The search
-forward-checks the frontier (the unlabeled vertices next to labeled ones)
-against the bound, which removes only subtrees with no complete labeling,
-so each probe is exact and the witness is the one a plain index-order
-search returns.
+vertex at a time, for the smallest label that still completes. Each probe
+is exact, so the witness is the one a plain index-order search returns.
 
 One iterative enumerator, ``_rainbow_paths``, serves every path search: a
 lexicographic DFS over an adjacency built once per coloring, with used
@@ -48,10 +45,10 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import BudgetExceededError, InvalidParameterError
-from .graphs import Graph, degree_stats, diameter
+from .graphs import Graph, bridge_count, degree_stats, diameter
 from .labelings import Labeling, WeightedColoring, edge_weights
 
-NODE_BUDGET = 10_000_000
+NODE_BUDGET = 20_000_000
 DEFAULT_MAX_N = 8  # racn_exact's size cap
 _EXHAUSTED = "path-search node budget exhausted"
 
@@ -338,12 +335,9 @@ def _first_labeling(
     complete labeling, within the bound, that ``accept`` takes (None if
     there is none) and the number of complete labelings tested.
 
-    A candidate label is dropped when the weights exceed the bound or when
-    some frontier vertex x (unplaced, with a placed neighbour) has no free
-    label l with ``popcount(weights | near[x] << l) <= bound``, ``near[x]``
-    being the labels of x's placed neighbours as a bitmask. Such a subtree
-    holds no complete labeling within the bound, so the leaves reached, and
-    their order, are those of the search without this check.
+    A candidate label is dropped when the weights, with those it adds
+    toward the placed neighbours, exceed the bound; ``near[v]`` holds the
+    labels of v's placed neighbours as a bitmask.
 
     Each label placed is a pushed node under the module's budget rule:
     placement ``NODE_BUDGET + 1`` in one call raises ``BudgetExceededError``.
@@ -353,13 +347,6 @@ def _first_labeling(
     for k, v in enumerate(order):
         pos[v] = k
     later = [[x for x in g.adjacency[v] if pos[x] > pos[v]] for v in range(n)]
-    # frontier[k]: (x, 1 if x neighbours order[k] else 0) for each x on the
-    # frontier once positions 0..k are placed
-    frontier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for x in range(n):
-        first = min((pos[u] for u in g.adjacency[x]), default=n)
-        for k in range(first, pos[x]):
-            frontier[k].append((x, int(x in later[order[k]])))
     labels = [0] * n
     near = [0] * n
     # position k: the untried labels of order[k], and the weights and the
@@ -381,19 +368,7 @@ def _first_labeling(
             c ^= low
             lab = low.bit_length() - 1
             w = wk | near_v << lab
-            if w.bit_count() > bound:
-                continue
-            t = taken[k] | low
-            for x, adj in frontier[k]:
-                near_x = near[x] | adj << lab
-                free = cands[x] & ~t
-                while free:
-                    if (w | near_x << ((free & -free).bit_length() - 1)).bit_count() <= bound:
-                        break
-                    free &= free - 1
-                if not free:
-                    break
-            else:
+            if w.bit_count() <= bound:
                 break
         else:
             k -= 1
@@ -406,6 +381,7 @@ def _first_labeling(
         for x in later[v]:
             near[x] |= low
         if k + 1 < n:
+            t = taken[k] | low
             k += 1
             untried[k], weights[k], taken[k] = cands[order[k]] & ~t, w, t
             continue
@@ -418,12 +394,13 @@ def _first_labeling(
 def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
     """Exact minimum color count over rainbow-connected bijective labelings.
 
-    Iterative deepening from t = max(diameter, max degree): a rainbow path
-    between a diametral pair needs ``diameter`` classes, and the edges at a
-    vertex carry distinct sums. At each level a feasibility pass in
-    maximum-cardinality order decides whether some rainbow-connected
-    labeling has at most t weights; that order places each vertex next to
-    many placed ones, so the bound and the forward check bite early. At the
+    Iterative deepening from t = max(diameter, max degree, bridges): a
+    rainbow path between a diametral pair needs ``diameter`` classes, the
+    edges at a vertex carry distinct sums, and any two bridges lie on every
+    path between a vertex beyond one and a vertex beyond the other. At each
+    level a feasibility pass in maximum-cardinality order decides whether
+    some rainbow-connected labeling has at most t weights; that order places
+    each vertex next to many placed ones, so the bound bites early. At the
     first feasible level the witness is the lexicographically first such
     labeling in index order, built by probing: each vertex v in turn, with
     0..v-1 fixed, takes its smallest label that the same search still
@@ -450,7 +427,8 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
 
     rainbow_connected = partial(_rainbow_connected, g)
     examined = 0
-    for bound in range(max(diameter(g), degree_stats(g)[1]), len(g.edges) + 1):
+    start = max(diameter(g), degree_stats(g)[1], bridge_count(g))
+    for bound in range(start, len(g.edges) + 1):
         labels, leaves = _first_labeling(g, by_cardinality, cands, bound, rainbow_connected)
         examined += leaves
         if labels is None:

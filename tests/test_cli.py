@@ -379,10 +379,17 @@ class TestSimulations:
         assert (code, out, err) == (3, "", "error: path-search node budget exhausted\n")
 
     def test_racn_exact_out_of_budget_exits_3(self, capsys, set_node_budget):
-        # shadow p=4's leaf tests fit in 13 nodes; one labeling pass places 607 labels
-        set_node_budget(606)
+        # shadow p=4's leaf tests fit in 13 nodes; one labeling pass places 1,952 labels
+        set_node_budget(1951)
         code, out, err = run(capsys, "racn", "--exact", "--family", "shadow", "--p", "4")
         assert (code, out, err) == (3, "", "error: path-search node budget exhausted\n")
+
+    def test_validate_records_racn_out_of_budget_as_a_gap(self, capsys, set_node_budget):
+        set_node_budget(200)
+        code, out, err = run(capsys, "validate", "--family", "shadow", "--p-range", "2..3",
+                             "--max-n", "10")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[4].endswith("-  exact racn skipped: budget exceeded")
 
     def test_dissemination_p_0_names_p(self, capsys):
         code, out, err = run(capsys, "simulate-dissemination", "--family", "shadow",

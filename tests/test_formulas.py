@@ -229,6 +229,15 @@ class TestValidateFamily:
         assert "m/rp search skipped: budget exceeded" in row.gaps
         assert not any(msg.startswith(("m:", "rp:")) for msg in row.mismatches)
 
+    def test_racn_budget_gap(self, set_node_budget):
+        # shadow p=3's cover search and leaf tests fit in 200 nodes; its
+        # labeling passes place up to 446 labels
+        set_node_budget(200)
+        rows = validate_family("shadow", range(2, 4), racn_max_n=10).rows
+        assert [row.racn_exact for row in rows] == [3, None]
+        assert (rows[1].m.observed, rows[1].rp.observed) == (6, 2)
+        assert rows[1].gaps == ("exact racn skipped: budget exceeded",)
+
     def test_cover_budget_gap_in_the_cover_search(self, set_node_budget):
         g, _, coloring = family_coloring("mycielski", 6)
         set_node_budget(100_000)

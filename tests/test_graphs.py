@@ -1,3 +1,5 @@
+import itertools
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from racnshare import (
     degree_stats,
     diameter,
 )
+from racnshare.graphs import bridge_count
 
 
 def to_nx(g):
@@ -183,6 +186,32 @@ def test_diameter_requires_connected():
     assert not g.is_connected()
     with pytest.raises(InvalidParameterError):
         diameter(g)
+
+
+def test_bridge_count_on_families():
+    # racn_exact starts at max(diameter, max degree, bridges); on the
+    # families the bridge count never raises that start
+    for family in FAMILIES:
+        for p in range(2, 9):
+            g = build_graph(family, p)
+            assert bridge_count(g) == len(list(nx.bridges(to_nx(g))))
+            assert bridge_count(g) <= max(diameter(g), degree_stats(g)[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bridge_count_matches_networkx(data):
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    # a random tree on a shuffled vertex order keeps the graph connected
+    shuffled = data.draw(st.permutations(range(n)))
+    tree = {
+        tuple(sorted((shuffled[i], shuffled[data.draw(st.integers(0, i - 1))])))
+        for i in range(1, n)
+    }
+    pool = list(itertools.combinations(range(n), 2))
+    extra = data.draw(st.sets(st.sampled_from(pool), max_size=n)) if pool else set()
+    g = custom_graph(n, sorted(tree | extra))
+    assert bridge_count(g) == len(list(nx.bridges(to_nx(g))))
 
 
 @settings(max_examples=40)

@@ -13,6 +13,7 @@ builds by probing.
 
 import heapq
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +31,15 @@ from racnshare import (
     is_rainbow_connected,
     racn_exact,
     racn_upper,
+    rainbow,
 )
-from racnshare.rainbow import _first_labeling, _max_cardinality_order, vertex_orbits
+from racnshare.graphs import bridge_count
+from racnshare.rainbow import (
+    _first_labeling,
+    _max_cardinality_order,
+    _rainbow_connected,
+    vertex_orbits,
+)
 
 
 def _rc(n, edges, weight_of):
@@ -95,18 +103,135 @@ def first_min_labeling(g):
     return best
 
 
+def orbit_cands(g):
+    """Each vertex's candidate labels as a bitmask, with label 1 only on the
+    smallest vertex of each automorphism orbit, as in ``racn_exact``."""
+    labels_mask = (2 << g.n) - 2
+    return [labels_mask if rep == v else labels_mask & ~2
+            for v, rep in enumerate(vertex_orbits(g))]
+
+
 def index_order_witness(g, value):
     """The lexicographically first rainbow-connected labeling with at most
     ``value`` weights: one backtracking search in vertex index order over
     the same label-1 orbit rule that ``racn_exact`` uses."""
-    labels_mask = (2 << g.n) - 2
-    cands = [labels_mask if rep == v else labels_mask & ~2
-             for v, rep in enumerate(vertex_orbits(g))]
+    cands = orbit_cands(g)
 
     def accept(labels):
         return is_rainbow_connected(g, edge_weights(g, Labeling(tuple(labels)))).connected
 
     return _first_labeling(g, list(range(g.n)), cands, value, accept)[0]
+
+
+def forward_checking_first_labeling(g, order, cands, bound, accept):
+    """``_first_labeling`` with the forward check it once had, and no budget.
+
+    It also drops a label when some frontier vertex x (unplaced, with a
+    placed neighbour) has no free label that keeps the weights within the
+    bound. Such a subtree holds no complete labeling, so ``(labels, leaves)``
+    must be those of the plain search.
+    """
+    n = g.n
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    later = [[x for x in g.adjacency[v] if pos[x] > pos[v]] for v in range(n)]
+    # frontier[k]: (x, 1 if x neighbours order[k] else 0) for each x on the
+    # frontier once positions 0..k are placed
+    frontier = [[] for _ in range(n)]
+    for x in range(n):
+        first = min((pos[u] for u in g.adjacency[x]), default=n)
+        for k in range(first, pos[x]):
+            frontier[k].append((x, int(x in later[order[k]])))
+    labels = [0] * n
+    near = [0] * n
+    untried, weights, taken = [0] * n, [0] * n, [0] * n
+    untried[0] = cands[order[0]]
+    leaves = 0
+    k = 0
+    while k >= 0:
+        v = order[k]
+        if labels[v]:
+            for x in later[v]:
+                near[x] ^= 1 << labels[v]
+            labels[v] = 0
+        c, wk, near_v = untried[k], weights[k], near[v]
+        while c:
+            low = c & -c
+            c ^= low
+            lab = low.bit_length() - 1
+            w = wk | near_v << lab
+            if w.bit_count() > bound:
+                continue
+            t = taken[k] | low
+            for x, adj in frontier[k]:
+                near_x = near[x] | adj << lab
+                free = cands[x] & ~t
+                while free:
+                    if (w | near_x << ((free & -free).bit_length() - 1)).bit_count() <= bound:
+                        break
+                    free &= free - 1
+                if not free:
+                    break
+            else:
+                break
+        else:
+            k -= 1
+            continue
+        untried[k] = c
+        labels[v] = lab
+        for x in later[v]:
+            near[x] |= low
+        if k + 1 < n:
+            k += 1
+            untried[k], weights[k], taken[k] = cands[order[k]] & ~t, w, t
+            continue
+        leaves += 1
+        if accept(labels):
+            return tuple(labels), leaves
+    return None, leaves
+
+
+def assert_same_as_forward_checking(g):
+    """Both searches give the same ``(labels, leaves)`` on every call that
+    ``racn_exact`` makes, witness probes included, and in both vertex
+    orders at every level that ``racn_exact`` deepens through."""
+    def both(*args):
+        got = _first_labeling(*args)
+        assert got == forward_checking_first_labeling(*args)
+        return got
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rainbow, "_first_labeling", both)
+        value = racn_exact(g, max_n=g.n).value
+    cands = orbit_cands(g)
+    accept = partial(_rainbow_connected, g)
+    for order in (_max_cardinality_order(g), list(range(g.n))):
+        for bound in range(max(diameter(g), degree_stats(g)[1], bridge_count(g)), value + 1):
+            both(g, order, cands, bound, accept)
+
+
+@pytest.mark.parametrize(
+    "family,p",
+    [(f, p) for f in ("shadow", "splitting", "mycielski") for p in range(2, 6)]
+    + [("path", p) for p in range(2, 9)],
+)
+def test_labeling_search_matches_forward_checking(family, p):
+    assert_same_as_forward_checking(build_graph(family, p))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_graphs_match_forward_checking(data):
+    n = data.draw(st.integers(min_value=5, max_value=8))
+    shuffled = data.draw(st.permutations(range(n)))
+    tree = {
+        tuple(sorted((shuffled[i], shuffled[data.draw(st.integers(0, i - 1))])))
+        for i in range(1, n)
+    }
+    pool = list(itertools.combinations(range(n), 2))
+    extra = data.draw(st.sets(st.sampled_from(pool), max_size=len(pool)))
+    assert_same_as_forward_checking(custom_graph(n, sorted(tree | extra)))
 
 
 def heap_max_cardinality_order(g):
@@ -271,13 +396,50 @@ def test_leaf_search_is_budgeted(set_node_budget):
 
 def test_labeling_search_is_budgeted(set_node_budget):
     # shadow p=4's leaf tests push at most 13 nodes each, and its largest
-    # labeling pass places 607 labels: the 607th is past a budget of 606
-    set_node_budget(606)
+    # labeling pass places 1,952 labels: the 1,952nd is past a budget of 1,951
+    set_node_budget(1951)
     with pytest.raises(BudgetExceededError, match="path-search node budget exhausted") as info:
         racn_exact(build_graph("shadow", 4))
     assert info.traceback[-1].name == "_first_labeling"
-    set_node_budget(607)
+    set_node_budget(1952)
     assert racn_exact(build_graph("shadow", 4)).value == 5
+
+
+def test_tree_starts_at_its_bridge_count():
+    # every edge of a tree is a bridge, so the search starts at the feasible
+    # level 8, not at max(diameter, max degree) = 5: the feasibility pass
+    # tests 2 labelings and the witness probes 44 more (394,396 from level 5)
+    g = custom_graph(9, [(0, 2), (1, 3), (1, 4), (1, 6), (2, 4), (2, 5), (2, 8), (5, 7)])
+    cert = racn_exact(g, max_n=9)
+    assert (cert.value, cert.witness.values, cert.examined) == (
+        8, (1, 2, 3, 4, 5, 6, 8, 7, 9), 46)
+
+
+def racn_from_degree_and_diameter(g):
+    """``racn_exact``'s value and witness found by deepening from
+    max(diameter, max degree), the start before bridges were counted."""
+    cands = orbit_cands(g)
+    accept = partial(_rainbow_connected, g)
+    for bound in range(max(diameter(g), degree_stats(g)[1]), len(g.edges) + 1):
+        if _first_labeling(g, _max_cardinality_order(g), cands, bound, accept)[0]:
+            return bound, index_order_witness(g, bound)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_bridge_start_keeps_value_and_witness(data):
+    n = data.draw(st.integers(min_value=2, max_value=7))
+    shuffled = data.draw(st.permutations(range(n)))
+    tree = {
+        tuple(sorted((shuffled[i], shuffled[data.draw(st.integers(0, i - 1))])))
+        for i in range(1, n)
+    }
+    # a tree, or a tree plus a few edges, so that some bridges remain
+    pool = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+    extra = data.draw(st.sets(st.sampled_from(pool), max_size=2)) if pool else set()
+    g = custom_graph(n, sorted(tree | extra))
+    cert = racn_exact(g)
+    assert (cert.value, cert.witness.values) == racn_from_degree_and_diameter(g)
 
 
 class TestRacnUpper:

@@ -49,3 +49,21 @@ def test_no_function_takes_a_budget():
                 found += [f"{module.__name__}.{qual}({p})"
                           for p in inspect.signature(fn).parameters if "budget" in p]
     assert found == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_function_calls_itself(path):
+    # every search is an explicit stack: recursion would hit the interpreter's
+    # depth limit on long paths, a RecursionError instead of a budget
+    def callee(call):
+        f = call.func
+        if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) in ("self", "cls"):
+            return f.attr
+        return getattr(f, "id", None)
+
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{fn.name} (line {call.lineno})" for call in ast.walk(fn)
+                      if isinstance(call, ast.Call) and callee(call) == fn.name]
+    assert found == []
