@@ -152,8 +152,11 @@ def _rainbow_path_signatures(
     the first path in lexicographic DFS order, the lex-least one. Raises
     ``BudgetExceededError`` when the budget runs out.
     """
+    n = g.n
+    vmask = (1 << n) - 1
     found: dict[int, dict[int, tuple[int, ...]]] = {}
-    for taken, seen, used in _rainbow_paths(_adjacency(g, coloring), range(g.n)):
+    for taken, state in _rainbow_paths(_adjacency(g, coloring), range(n)):
+        used, seen = state >> n, state & vmask
         paths = found.get(used)
         if paths is None:
             paths = found[used] = {}

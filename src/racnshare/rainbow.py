@@ -14,9 +14,11 @@ vertex at a time, for the smallest label that still completes. Each probe
 is exact, so the witness is the one a plain index-order search returns.
 
 One iterative enumerator, ``_rainbow_paths``, serves every path search: a
-lexicographic DFS over an adjacency built once per coloring, with used
-vertices and classes kept as int bitmasks, yielding every rainbow path as
-it is pushed. ``exists_rainbow_path``, ``is_rainbow_connected`` and
+lexicographic DFS over an adjacency built once per coloring, yielding every
+rainbow path as it is pushed. Its state is one int bitmask: on n vertices,
+bit v marks vertex v as used and bit n+i weight class i, so each adjacency
+entry carries the one mask that tests, pushes and pops its edge.
+``exists_rainbow_path``, ``is_rainbow_connected`` and
 ``_rainbow_connected`` (the leaf test of ``racn_exact``, and ``racn_upper``)
 stop once every target is reached: the path on the stack at the first
 arrival at v is the path a DFS aimed at v would return, so n single-source
@@ -100,48 +102,54 @@ class RacnCertificate:
 
 
 def _adjacency(g: Graph, w: WeightedColoring) -> list[list[tuple[int, int, int]]]:
-    """``(neighbour, weight, class_bit)`` entries in ascending neighbour order.
+    """``(neighbour, weight, bits)`` entries in ascending neighbour order.
 
-    Bit i stands for the i-th smallest weight.
+    ``bits`` is ``1 << neighbour | 1 << n + i``, the neighbour's vertex bit
+    and the class bit of its weight, the i-th smallest, in the packed state
+    of ``_rainbow_paths``.
     """
-    bit_of = {wt: 1 << i for i, wt in enumerate(sorted(w.classes))}
-    return [[(b, wt, bit_of[wt]) for b in nbrs for wt in (w.weight(a, b),)]
+    n = g.n
+    bit_of = {wt: 1 << n + i for i, wt in enumerate(sorted(w.classes))}
+    return [[(b, wt, 1 << b | bit_of[wt]) for b in nbrs for wt in (w.weight(a, b),)]
             for a, nbrs in enumerate(g.adjacency)]
 
 
 def _rainbow_paths(adj, sources):
     """Every rainbow path from each source, in lexicographic DFS order.
 
-    Yields ``(taken, seen, used)`` at each push: ``taken`` is the live stack
+    Yields ``(taken, state)`` at each push: ``taken`` is the live stack
     (the root ``(source, 0, 0)``, then the adjacency entry of each edge on
-    the path), and ``seen``/``used`` are the vertex and class bitmasks.
+    the path), and ``state`` the packed mask of ``_adjacency`` on
+    ``n = len(adj)`` vertices, the used vertices in bits 0..n-1 and the used
+    classes from bit n up. An edge is free when ``state & bits`` is 0.
     Pushes are counted over all sources; push ``NODE_BUDGET + 1`` raises
     ``BudgetExceededError``.
     """
     budget = NODE_BUDGET
     pushes = 0
     for s in sources:
-        stack = [iter(adj[s])]
+        it = iter(adj[s])
+        parked = []  # the iterators below ``it``, one per edge on the path
         taken = [(s, 0, 0)]
-        seen, used = 1 << s, 0
-        while stack:
-            for e in stack[-1]:
-                if not (seen >> e[0] & 1 or used & e[2]):
+        state = 1 << s
+        while True:
+            for e in it:
+                if not state & e[2]:
                     break
             else:
-                stack.pop()
-                b, _, bit = taken.pop()
-                seen ^= 1 << b
-                used ^= bit
+                if not parked:
+                    break
+                state ^= taken.pop()[2]
+                it = parked.pop()
                 continue
             pushes += 1
             if pushes > budget:
                 raise BudgetExceededError(_EXHAUSTED)
-            seen |= 1 << e[0]
-            used |= e[2]
+            state |= e[2]
             taken.append(e)
-            yield taken, seen, used
-            stack.append(iter(adj[e[0]]))
+            yield taken, state
+            parked.append(it)
+            it = iter(adj[e[0]])
 
 
 def _as_path(taken) -> RainbowPath:
@@ -156,12 +164,12 @@ def _first_arrivals(adj, u: int, targets: int, paths=None) -> int:
     aimed at v alone pushes exactly the same nodes up to there. Returns the
     unreached targets.
     """
-    for taken, _, _ in _rainbow_paths(adj, (u,)):
-        b = taken[-1][0]
-        if targets >> b & 1:
-            targets ^= 1 << b
+    for taken, _ in _rainbow_paths(adj, (u,)):
+        hit = targets & taken[-1][2]  # the new vertex's bit, if a target
+        if hit:
+            targets ^= hit
             if paths is not None:
-                paths[b] = _as_path(taken)
+                paths[taken[-1][0]] = _as_path(taken)
             if not targets:
                 break
     return targets
@@ -224,7 +232,7 @@ def max_new_color_path(g: Graph, w: WeightedColoring, max_gain: int | None = Non
     cap = len(w.classes) if max_gain is None else max_gain
     top = min(len(w.classes), cap)
     best, most = None, 0
-    for taken, _, _ in _rainbow_paths(_adjacency(g, w), range(g.n)):
+    for taken, _ in _rainbow_paths(_adjacency(g, w), range(g.n)):
         edges = len(taken) - 1
         if most < edges <= cap:
             best, most = _as_path(taken), edges
@@ -241,25 +249,29 @@ def _fewest_edge_paths(g: Graph, w: WeightedColoring, rest: int) -> list[tuple[i
     path: the first path in DFS order with the fewest edges, listed in the
     DFS order of these paths.
 
-    ``rest`` and ``used`` are class masks, bit i for the i-th smallest
-    weight. A greedy phase that lacks the classes ``new``, a mask inside
-    ``rest``, picks the entry with the most ``S & new`` classes (at most
-    the cap), then the fewest edges, then the first listed. Under a cap of
-    at least ``popcount(rest)`` the first path with ``used == rest`` wins
-    for ``new == rest`` and leaves no class to pick, so the scan stops
-    there. Pushes follow the budget rule of ``_rainbow_paths``.
+    ``rest``, ``used`` and each returned ``S`` are plain class masks, bit i
+    for the i-th smallest weight; the scan shifts ``rest`` by n to meet the
+    packed state of ``_rainbow_paths`` and shifts each ``S`` back. A greedy
+    phase that lacks the classes ``new``, a mask inside ``rest``, picks the
+    entry with the most ``S & new`` classes (at most the cap), then the
+    fewest edges, then the first listed. Under a cap of at least
+    ``popcount(rest)`` the first path with ``used == rest`` wins for
+    ``new == rest`` and leaves no class to pick, so the scan stops there.
+    Pushes follow the budget rule of ``_rainbow_paths``.
     """
-    table: dict[int, tuple] = {}  # S -> taken, in the DFS order of the kept paths
-    for taken, _, used in _rainbow_paths(_adjacency(g, w), range(g.n)):
-        s = used & rest
+    n = g.n
+    packed_rest = rest << n
+    table: dict[int, tuple] = {}  # S << n -> taken, in the DFS order of the kept paths
+    for taken, state in _rainbow_paths(_adjacency(g, w), range(n)):
+        s = state & packed_rest
         if s:
             kept = table.get(s)
             if kept is None or len(taken) < len(kept):
                 table.pop(s, None)
                 table[s] = tuple(taken)
-                if used == rest:
+                if state >> n == rest:
                     break
-    return [(s, _as_path(taken)) for s, taken in table.items()]
+    return [(s >> n, _as_path(taken)) for s, taken in table.items()]
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -318,10 +330,11 @@ def _max_cardinality_order(g: Graph) -> list[int]:
 def _rainbow_connected(g: Graph, labels) -> bool:
     """Whether the weights that ``labels`` induce on the connected graph ``g``
     are rainbow connected: the searches of ``is_rainbow_connected``, with
-    weight s as class bit s, and no witness paths."""
-    adj = [[(b, s, 1 << s) for b in nbrs for s in (labels[a] + labels[b],)]
+    weight s as class bit s, packed as state bit n+s, and no witness paths."""
+    n = g.n
+    adj = [[(b, s, 1 << b | 1 << n + s) for b in nbrs for s in (labels[a] + labels[b],)]
            for a, nbrs in enumerate(g.adjacency)]
-    return not any(_first_arrivals(adj, u, (1 << g.n) - (2 << u)) for u in range(g.n - 1))
+    return not any(_first_arrivals(adj, u, (1 << n) - (2 << u)) for u in range(n - 1))
 
 
 def _first_labeling(

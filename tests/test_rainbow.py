@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racnshare import rainbow
 from racnshare import (
@@ -534,3 +536,127 @@ class TestGreedyReconstructionMatchesPerPhaseScan:
         trace = simulate_reconstruction(distribute(g, lab, b"phase", seed=0))
         assert trace.phase_count == 6
         assert len(reads) <= 2
+
+
+def two_mask_rainbow_paths(adj, sources, node_budget):
+    """The path kernel before its state was packed, kept as an oracle.
+
+    ``seen`` and ``used`` are separate vertex and class bitmasks, and each
+    adjacency entry carries its class bit alone.
+    """
+    pushes = 0
+    for s in sources:
+        stack = [iter(adj[s])]
+        taken = [(s, 0, 0)]
+        seen, used = 1 << s, 0
+        while stack:
+            for e in stack[-1]:
+                if not (seen >> e[0] & 1 or used & e[2]):
+                    break
+            else:
+                stack.pop()
+                b, _, bit = taken.pop()
+                seen ^= 1 << b
+                used ^= bit
+                continue
+            pushes += 1
+            if pushes > node_budget:
+                raise BudgetExceededError("oracle budget exhausted")
+            seen |= 1 << e[0]
+            used |= e[2]
+            taken.append(e)
+            yield taken, seen, used
+            stack.append(iter(adj[e[0]]))
+
+
+def two_mask_adjacency(g, w):
+    bit_of = {wt: 1 << i for i, wt in enumerate(sorted(w.classes))}
+    return [[(b, wt, bit_of[wt]) for b in nbrs for wt in (w.weight(a, b),)]
+            for a, nbrs in enumerate(g.adjacency)]
+
+
+def two_mask_sum_adjacency(g, labels):
+    return [[(b, s, 1 << s) for b in nbrs for s in (labels[a] + labels[b],)]
+            for a, nbrs in enumerate(g.adjacency)]
+
+
+def sum_adjacency(g, labels):
+    """The sum-indexed adjacency that ``_rainbow_connected`` hands the kernel."""
+    handed = []
+
+    def capture(adj, sources):
+        handed.append(adj)
+        return iter(())
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rainbow, "_rainbow_paths", capture)
+        rainbow._rainbow_connected(g, labels)
+    return handed[0]
+
+
+def walk(paths, unpack):
+    """Each push as ``(vertices, weights, seen, used)``, and whether the
+    walk ended in a budget raise."""
+    log = []
+    try:
+        for taken, *state in paths:
+            log.append((tuple([t[0] for t in taken]), tuple([t[1] for t in taken[1:]]),
+                        *unpack(*state)))
+    except BudgetExceededError:
+        return log, True
+    return log, False
+
+
+def assert_packed_walk_matches(packed_adj, oracle_adj):
+    n = len(packed_adj)
+    vmask = (1 << n) - 1
+    sources = range(n)
+
+    def two_masks(seen, used):
+        return seen, used
+
+    pushes = len(walk(two_mask_rainbow_paths(oracle_adj, sources, rainbow.NODE_BUDGET),
+                      two_masks)[0])
+    assert pushes < rainbow.NODE_BUDGET
+    for budget in sorted({0, 1, pushes // 2, max(pushes - 1, 0), pushes}):
+        want = walk(two_mask_rainbow_paths(oracle_adj, sources, budget), two_masks)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rainbow, "NODE_BUDGET", budget)
+            got = walk(rainbow._rainbow_paths(packed_adj, sources),
+                       lambda state: (state & vmask, state >> n))
+        assert got == want, budget
+        assert want[1] == (budget < pushes)
+
+
+PACKED_CELLS = ([(f, p) for f in ("shadow", "splitting", "mycielski") for p in range(2, 7)]
+                + [("path", p) for p in range(2, 9)])
+
+
+class TestPackedKernelMatchesTwoMasks:
+    @pytest.mark.parametrize("family,p", PACKED_CELLS)
+    def test_family_walks(self, family, p):
+        g, _, w = family_coloring(family, p)
+        assert_packed_walk_matches(rainbow._adjacency(g, w), two_mask_adjacency(g, w))
+
+    @pytest.mark.parametrize("family,p", PACKED_CELLS)
+    def test_sum_indexed_walks(self, family, p):
+        g, lab, _ = family_coloring(family, p)
+        assert_packed_walk_matches(sum_adjacency(g, lab.values),
+                                   two_mask_sum_adjacency(g, lab.values))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_labeled_graphs(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=8))
+        shuffled = data.draw(st.permutations(range(n)))
+        tree = {
+            tuple(sorted((shuffled[i], shuffled[data.draw(st.integers(0, i - 1))])))
+            for i in range(1, n)
+        }
+        pool = list(itertools.combinations(range(n), 2))
+        extra = data.draw(st.sets(st.sampled_from(pool), max_size=n))
+        g = custom_graph(n, sorted(tree | extra))
+        labels = tuple(data.draw(st.permutations(range(1, n + 1))))
+        w = edge_weights(g, Labeling(labels))
+        assert_packed_walk_matches(rainbow._adjacency(g, w), two_mask_adjacency(g, w))
+        assert_packed_walk_matches(sum_adjacency(g, labels), two_mask_sum_adjacency(g, labels))
