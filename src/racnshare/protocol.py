@@ -143,26 +143,40 @@ def simulate_reconstruction(
     )
 
 
-def _rainbow_path_signatures(
-    g: Graph, coloring: WeightedColoring
-) -> dict[int, dict[int, tuple[int, ...]]]:
-    """Enumerate every rainbow path as (class bitmask, vertex bitmask).
+def _rainbow_path_signatures(g: Graph, coloring: WeightedColoring) -> dict[int, list[int]]:
+    """Enumerate every rainbow path's signature (class bitmask, vertex bitmask).
 
-    Returns ``{class mask: {vertex mask: vertices}}``, keeping per signature
-    the first path in lexicographic DFS order, the lex-least one. Raises
+    Returns ``{class mask: [vertex masks]}``. Each path's packed
+    ``_rainbow_paths`` state is kept once, in an insertion-ordered dict, and
+    then grouped by class mask, so the class masks and each one's vertex
+    masks come in the order the lexicographic DFS first meets them. No path
+    is kept: ``_rebuilt_path`` finds a signature's first path again. Raises
     ``BudgetExceededError`` when the budget runs out.
     """
     n = g.n
     vmask = (1 << n) - 1
-    found: dict[int, dict[int, tuple[int, ...]]] = {}
-    for taken, state in _rainbow_paths(_adjacency(g, coloring), range(n)):
-        used, seen = state >> n, state & vmask
-        paths = found.get(used)
-        if paths is None:
-            paths = found[used] = {}
-        if seen not in paths:
-            paths[seen] = tuple([t[0] for t in taken])
+    states = dict.fromkeys(state for _, state in _rainbow_paths(_adjacency(g, coloring), range(n)))
+    found: dict[int, list[int]] = {}
+    for state in states:
+        found.setdefault(state >> n, []).append(state & vmask)
     return found
+
+
+def _rebuilt_path(adj, cmask: int, vmask: int) -> tuple[int, ...]:
+    """The first rainbow path, in lexicographic DFS order over ``adj`` (an
+    ``_adjacency``), whose class mask is ``cmask`` and vertex mask ``vmask``.
+
+    The DFS starts only at the vertices of ``vmask`` and takes only the edges
+    whose vertex and class bits lie inside both masks. Every prefix of such a
+    path lies inside them too, so this DFS meets those paths in the full
+    DFS's order and returns its first one. It is a search of its own: push
+    ``rainbow.NODE_BUDGET + 1`` raises ``BudgetExceededError``.
+    """
+    target = vmask | cmask << len(adj)
+    inside = [[e for e in row if not e[2] & ~target] for row in adj]
+    sources = [a for a in range(len(adj)) if vmask >> a & 1]
+    return next(tuple([t[0] for t in taken])
+                for taken, state in _rainbow_paths(inside, sources) if state == target)
 
 
 def _min_phases(k: int, class_masks) -> int:
@@ -212,10 +226,13 @@ def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple
     whose vertex union is larger than the best cover's, and a last pick that
     leaves a class uncovered. Among covers with the fewest vertices it keeps
     the lexicographically first sorted list of (item index, vertex-mask index)
-    picks, items ordered by (-popcount, class mask). The signature
-    enumeration, the ``rp`` search and this search each get
-    ``rainbow.NODE_BUDGET`` nodes; this one counts the states it pushes, not
-    the root.
+    picks, items ordered by (-popcount, class mask). A class bit's item list
+    and an item's Pareto-minimal masks are built the first time the search
+    reaches them, so an rp=1 search builds only the full-class item's. The
+    chosen paths are rebuilt by ``_rebuilt_path``. The signature enumeration,
+    the ``rp`` search, this search and each rebuild get
+    ``rainbow.NODE_BUDGET`` nodes each; this one counts the states it pushes,
+    not the root.
     """
     found = _rainbow_path_signatures(g, coloring)
     k = len(coloring.classes)
@@ -230,13 +247,10 @@ def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple
                 keep.append(v)
         return keep
 
-    items = sorted(
-        ((c, pareto_min(vs)) for c, vs in found.items()),
-        key=lambda cv: (-cv[0].bit_count(), cv[0]),
-    )
+    items = sorted(found, key=lambda c: (-c.bit_count(), c))
+    pareto: list = [None] * len(items)  # item i's Pareto-minimal vertex masks
     # per class bit, the items holding it, in reverse so that the stack pops the first
-    holders = [[i for i in reversed(range(len(items))) if items[i][0] >> b & 1]
-               for b in range(k)]
+    holders: list = [None] * k
     best: tuple[int, list[tuple[int, int]]] = (g.n + 1, [])  # (vertex count, sorted picks)
     stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
     budget = rainbow.NODE_BUDGET
@@ -248,10 +262,17 @@ def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple
             continue
         if vunion.bit_count() > best[0]:
             continue
-        for i in holders[(~cmask & cmask + 1).bit_length() - 1]:
-            c, vmasks = items[i]
+        b = (~cmask & cmask + 1).bit_length() - 1
+        held = holders[b]
+        if held is None:
+            held = holders[b] = [i for i in reversed(range(len(items))) if items[i] >> b & 1]
+        for i in held:
+            c = items[i]
             if len(picks) + 1 == rp and cmask | c != full:
                 continue  # the last pick must complete the cover
+            vmasks = pareto[i]
+            if vmasks is None:
+                vmasks = pareto[i] = pareto_min(found[c])
             for j in reversed(range(len(vmasks))):
                 trial = vunion | vmasks[j]
                 if trial.bit_count() <= best[0]:
@@ -259,7 +280,8 @@ def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple
                     if nodes > budget:
                         raise BudgetExceededError(_EXHAUSTED)
                     stack.append((cmask | c, trial, (*picks, (i, j))))
-    return sorted(found[items[i][0]][items[i][1][j]] for i, j in best[1])
+    adj = _adjacency(g, coloring)
+    return sorted(_rebuilt_path(adj, items[i], pareto[i][j]) for i, j in best[1])
 
 
 def _cycles(g: Graph, max_len: int | None, chordless: bool) -> list[tuple[tuple[int, ...], int]]:

@@ -28,8 +28,10 @@ from racnshare.protocol import (
     _min_phases,
     _min_vertex_cover_choice,
     _rainbow_path_signatures,
+    _rebuilt_path,
 )
 from racnshare import rainbow
+from racnshare.rainbow import _adjacency
 
 
 def is_chordless(g, cycle):
@@ -410,6 +412,24 @@ def recursive_signatures(g, coloring, node_budget):
     return found
 
 
+def grouped_signatures(flat):
+    """``recursive_signatures``' flat map by class mask, each in first-found order."""
+    grouped = {}
+    for (cmask, vmask), path in flat.items():
+        grouped.setdefault(cmask, {})[vmask] = path
+    return grouped
+
+
+def random_labeled_graph(rng):
+    """A random connected graph on 4..8 vertices with a random bijective labeling."""
+    n = rng.randint(4, 8)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}  # a random spanning tree
+    for _ in range(rng.randint(0, n)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    g = custom_graph(n, sorted(edges))
+    return g, edge_weights(g, Labeling(tuple(rng.sample(range(1, n + 1), n))))
+
+
 SIGNATURE_CELLS = [(f, p) for f in ("shadow", "splitting", "mycielski") for p in range(2, 11)]
 
 
@@ -418,12 +438,49 @@ class TestSignaturesMatchRecursive:
     def test_same_map_in_same_order(self, family, p):
         g, _, coloring = family_coloring(family, p)
         found = _rainbow_path_signatures(g, coloring)
-        want = recursive_signatures(g, coloring, rainbow.NODE_BUDGET)
-        grouped = {}  # the flat map by class mask, each in first-found order
-        for (cmask, vmask), path in want.items():
-            grouped.setdefault(cmask, {})[vmask] = path
-        assert [(c, list(vs.items())) for c, vs in found.items()] == \
-            [(c, list(vs.items())) for c, vs in grouped.items()]
+        want = grouped_signatures(recursive_signatures(g, coloring, rainbow.NODE_BUDGET))
+        assert list(found.items()) == [(c, list(vs)) for c, vs in want.items()]
+
+    @pytest.mark.parametrize("family,p", SIGNATURE_CELLS)
+    def test_rebuilt_paths_are_the_first_ones(self, family, p):
+        g, _, coloring = family_coloring(family, p)
+        adj = _adjacency(g, coloring)
+        for (cmask, vmask), path in recursive_signatures(g, coloring, rainbow.NODE_BUDGET).items():
+            assert _rebuilt_path(adj, cmask, vmask) == path, (cmask, vmask)
+
+    def test_rebuilt_paths_on_random_labeled_graphs(self):
+        rng = random.Random(0)
+        for _ in range(100):
+            g, coloring = random_labeled_graph(rng)
+            adj = _adjacency(g, coloring)
+            for (cmask, vmask), path in recursive_signatures(g, coloring, 10**6).items():
+                assert _rebuilt_path(adj, cmask, vmask) == path, (g.edges, coloring.weights)
+
+    def test_rebuild_budget(self, set_node_budget):
+        # shadow p=5's last-found full-class signature, whose rebuild pushes 150 nodes
+        g, _, coloring = family_coloring("shadow", 5)
+        adj = _adjacency(g, coloring)
+        full = (1 << len(coloring.classes)) - 1
+        (cmask, vmask), path = [sig for sig in recursive_signatures(g, coloring, 10**6).items()
+                                if sig[0][0] == full][-1]
+        pushes = 0
+        real = rainbow._rainbow_paths
+
+        def counted(*args):
+            nonlocal pushes
+            for step in real(*args):
+                pushes += 1
+                yield step
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("racnshare.protocol._rainbow_paths", counted)
+            assert _rebuilt_path(adj, cmask, vmask) == path
+        assert pushes == 150
+        set_node_budget(pushes - 1)
+        with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
+            _rebuilt_path(adj, cmask, vmask)
+        set_node_budget(pushes)
+        assert _rebuilt_path(adj, cmask, vmask) == path
 
     @pytest.mark.parametrize("family", ["shadow", "splitting", "mycielski"])
     def test_budget_raises_agree(self, family, set_node_budget):
@@ -461,7 +518,7 @@ def recursive_cover_choice(g, coloring):
     each included with one of its Pareto-minimal vertex masks or excluded.
     Returns the chosen paths, sorted, and their vertex set.
     """
-    found = _rainbow_path_signatures(g, coloring)
+    found = grouped_signatures(recursive_signatures(g, coloring, rainbow.NODE_BUDGET))
     k = len(coloring.classes)
     rp = all_masks_min_phases(k, set(found))
     full = (1 << k) - 1
@@ -541,16 +598,11 @@ class TestCoverSearch:
         # equal-vertex covers are common here, so the tie-break between them is exercised
         rng = random.Random(0)
         for _ in range(100):
-            n = rng.randint(4, 8)
-            edges = {(rng.randrange(v), v) for v in range(1, n)}  # a random spanning tree
-            for _ in range(rng.randint(0, n)):
-                edges.add(tuple(sorted(rng.sample(range(n), 2))))
-            g = custom_graph(n, sorted(edges))
-            coloring = edge_weights(g, Labeling(tuple(rng.sample(range(1, n + 1), n))))
+            g, coloring = random_labeled_graph(rng)
             want, _ = recursive_cover_choice(g, coloring)
             paths = _min_vertex_cover_choice(g, coloring)
-            assert empirical_rp(g, coloring) == len(want), (n, sorted(edges), coloring.weights)
-            assert paths == want, (n, sorted(edges), coloring.weights)
+            assert empirical_rp(g, coloring) == len(want), (g.edges, coloring.weights)
+            assert paths == want, (g.edges, coloring.weights)
 
     # the recursive search ran out of stack on these: one recursion level per class mask
     @pytest.mark.parametrize("family,p", [("shadow", 9), ("shadow", 11), ("splitting", 16)])
