@@ -4,9 +4,10 @@ For each graph family the scheme's headline numbers have closed forms in
 p: the share count k (distinct weight classes of the construction), the
 minimum participant count m, the reconstruction phase count rp, and a
 degree-based lower bound on the achievable color count. ``validate_family``
-recomputes each quantity from scratch — by counting classes, by exhaustive
-rainbow-path cover search, and by the exact solver where feasible — and
-reports every disagreement instead of smoothing it over.
+recomputes each quantity from scratch — by counting classes, by
+rainbow-path search (a path through every class, else the exhaustive cover
+search), and by the exact solver where feasible — and reports every
+disagreement instead of smoothing it over.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import protocol
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import build_graph, degree_stats
 from .labelings import family_coloring
-from .rainbow import DEFAULT_MAX_N, racn_exact
+from .rainbow import DEFAULT_MAX_N, max_new_color_path, racn_exact
 
 SCHEME_FAMILIES = ("shadow", "splitting", "mycielski")
 
@@ -175,18 +176,24 @@ def validate_family(
     """Cross-check every closed form against recomputed ground truth.
 
     Each requested p yields a row; computations that would blow the budget
-    are recorded as gaps rather than dropped. Empirical m/rp come from one
-    exhaustive rainbow-path cover search per p, the exact color minimum from
-    the bounded brute-force solver.
+    are recorded as gaps rather than dropped. Empirical m/rp come from the
+    rainbow-path search: a path with k edges holds all k classes on k + 1
+    vertices, so when ``max_new_color_path`` meets one, rp is 1 and m is
+    k + 1; otherwise the exhaustive cover search settles both. The exact
+    color minimum comes from the bounded brute-force solver.
     """
     rows = []
     for p in p_range:
         formula = scheme_parameters(family, p)
         g, lab, coloring = family_coloring(family, p)
         gaps: list[str] = []
+        k = len(coloring.classes)
         try:
-            paths = protocol._min_vertex_cover_choice(g, coloring)
-            rp_obs, m_obs = len(paths), len(set().union(*paths))
+            if max_new_color_path(g, coloring).edge_count == k:
+                rp_obs, m_obs = 1, k + 1
+            else:
+                paths = protocol._min_vertex_cover_choice(g, coloring)
+                rp_obs, m_obs = len(paths), len(set().union(*paths))
         except BudgetExceededError:
             rp_obs = m_obs = None
             gaps.append("m/rp search skipped: budget exceeded")
@@ -210,7 +217,7 @@ def validate_family(
             ValidationRow(
                 p=p,
                 n=g.n,
-                k=FormulaCheck(formula.k, len(coloring.classes)),
+                k=FormulaCheck(formula.k, k),
                 m=FormulaCheck(formula.m, m_obs),
                 rp=FormulaCheck(formula.rp, rp_obs),
                 lower_bound=formula.lower_bound,

@@ -348,9 +348,11 @@ def _first_labeling(
     complete labeling, within the bound, that ``accept`` takes (None if
     there is none) and the number of complete labelings tested.
 
-    A candidate label is dropped when the weights, with those it adds
-    toward the placed neighbours, exceed the bound; ``near[v]`` holds the
-    labels of v's placed neighbours as a bitmask.
+    Labels are kept as bits, ``bits[v] = 1 << label``, and decoded only at
+    a leaf. A candidate label is dropped when the weights, with those it
+    adds toward the placed neighbours, exceed the bound; ``near[v]`` holds
+    the labels of v's placed neighbours as a bitmask, so ``near[v] * bit``
+    holds their sums with the candidate's label.
 
     Each label placed is a pushed node under the module's budget rule:
     placement ``NODE_BUDGET + 1`` in one call raises ``BudgetExceededError``.
@@ -360,7 +362,7 @@ def _first_labeling(
     for k, v in enumerate(order):
         pos[v] = k
     later = [[x for x in g.adjacency[v] if pos[x] > pos[v]] for v in range(n)]
-    labels = [0] * n
+    bits = [0] * n
     near = [0] * n
     # position k: the untried labels of order[k], and the weights and the
     # labels taken by positions 0..k-1
@@ -371,16 +373,16 @@ def _first_labeling(
     k = 0
     while k >= 0:
         v = order[k]
-        if labels[v]:
+        b = bits[v]
+        if b:
             for x in later[v]:
-                near[x] ^= 1 << labels[v]
-            labels[v] = 0
+                near[x] ^= b
+            bits[v] = 0
         c, wk, near_v = untried[k], weights[k], near[v]
         while c:
             low = c & -c
             c ^= low
-            lab = low.bit_length() - 1
-            w = wk | near_v << lab
+            w = wk | near_v * low
             if w.bit_count() <= bound:
                 break
         else:
@@ -390,7 +392,7 @@ def _first_labeling(
         if placed > budget:
             raise BudgetExceededError(_EXHAUSTED)
         untried[k] = c
-        labels[v] = lab
+        bits[v] = low
         for x in later[v]:
             near[x] |= low
         if k + 1 < n:
@@ -399,8 +401,9 @@ def _first_labeling(
             untried[k], weights[k], taken[k] = cands[order[k]] & ~t, w, t
             continue
         leaves += 1
+        labels = tuple([bit.bit_length() - 1 for bit in bits])
         if accept(labels):
-            return tuple(labels), leaves
+            return labels, leaves
     return None, leaves
 
 

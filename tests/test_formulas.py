@@ -12,7 +12,7 @@ from racnshare import (
     theorem_lower_bound,
     validate_family,
 )
-from racnshare.protocol import _rainbow_path_signatures
+from racnshare.protocol import _min_vertex_cover_choice, _rainbow_path_signatures
 
 
 # The closed forms as the paper writes them, one function per quantity: the
@@ -223,14 +223,23 @@ class TestValidateFamily:
         assert any("racn skipped" in g for g in row.gaps)
 
     def test_cover_budget_gap(self, set_node_budget):
-        set_node_budget(50)
+        # shadow p=6 meets its first path through every class at push 26
+        set_node_budget(25)
         (row,) = validate_family("shadow", range(6, 7)).rows
         assert row.m.observed is None and row.rp.observed is None
         assert "m/rp search skipped: budget exceeded" in row.gaps
         assert not any(msg.startswith(("m:", "rp:")) for msg in row.mismatches)
 
+    def test_full_class_path_at_the_budget_edge(self, set_node_budget):
+        # one push more than test_cover_budget_gap: the first path through all
+        # 7 classes settles rp and m, so the cover search, which needs more, never runs
+        set_node_budget(26)
+        (row,) = validate_family("shadow", range(6, 7)).rows
+        assert (row.rp.observed, row.m.observed) == (1, 8)
+        assert not any(gap.startswith("m/rp") for gap in row.gaps)
+
     def test_racn_budget_gap(self, set_node_budget):
-        # shadow p=3's cover search and leaf tests fit in 200 nodes; its
+        # shadow p=3's path read, cover search and leaf tests fit in 200 nodes; its
         # labeling passes place up to 446 labels
         set_node_budget(200)
         rows = validate_family("shadow", range(2, 4), racn_max_n=10).rows
@@ -245,6 +254,24 @@ class TestValidateFamily:
         (row,) = validate_family("mycielski", range(6, 7)).rows
         assert row.m.observed is None and row.rp.observed is None
         assert "m/rp search skipped: budget exceeded" in row.gaps
+
+
+# every family cell that the cover-search tests in test_protocol.py reach
+FULL_CLASS_CELLS = (
+    [("shadow", p) for p in range(2, 10)]
+    + [("splitting", p) for p in range(2, 17)]
+    + [("mycielski", p) for p in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize("family,p", FULL_CLASS_CELLS)
+def test_rp_and_m_match_the_cover_search(family, p):
+    # validate_family settles rp = 1 and m = k + 1 at the first rainbow path
+    # with k edges; the cover search stays the oracle
+    (row,) = validate_family(family, range(p, p + 1), racn_max_n=0).rows
+    g, _, coloring = family_coloring(family, p)
+    paths = _min_vertex_cover_choice(g, coloring)
+    assert (row.rp.observed, row.m.observed) == (len(paths), len(set().union(*paths)))
 
 
 def test_validation_rows_agree_with_direct_solver():
