@@ -14,6 +14,8 @@ Everything here is deterministic; repeated runs produce identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations, islice
 
 from . import rainbow
 from .errors import BudgetExceededError, InvalidParameterError, RacnShareError
@@ -179,8 +181,17 @@ def _rebuilt_path(adj, cmask: int, vmask: int) -> tuple[int, ...]:
                 for taken, state in _rainbow_paths(inside, sources) if state == target)
 
 
-def _min_phases(k: int, class_masks) -> int:
-    """Fewest of the distinct ``class_masks`` that jointly cover all k classes.
+def _minimal(masks) -> list[int]:
+    """The inclusion-minimal ``masks``, ordered by (popcount, value)."""
+    keep: list[int] = []
+    for m in sorted(sorted(masks), key=int.bit_count):
+        if not any(kept & m == kept for kept in keep):
+            keep.append(m)
+    return keep
+
+
+def _min_phases(k: int, class_masks) -> int | None:
+    """Fewest ``class_masks`` that jointly cover all k classes; None if they miss one.
 
     A BFS over unions of the maximal class masks: a cover stays a cover when
     each of its masks grows to a maximal superset, so the others cannot
@@ -189,21 +200,19 @@ def _min_phases(k: int, class_masks) -> int:
     all it raises ``BudgetExceededError``.
     """
     full = (1 << k) - 1
-    maximal: list[int] = []
-    for cm in sorted(class_masks, key=lambda m: (-m.bit_count(), m)):
-        if not any(big & cm == cm for big in maximal):
-            maximal.append(cm)
+    if reduce(int.__or__, class_masks, 0) != full:
+        return None
+    maximal = [full ^ c for c in _minimal(full ^ cm for cm in class_masks)]
     reached, frontier = {0}, {0}
-    unions = 0
-    for depth in range(k + 1):
-        if full in reached:
-            return depth
+    depth = unions = 0
+    while full not in reached:
         unions += len(frontier) * len(maximal)
         if unions > rainbow.NODE_BUDGET:
             raise BudgetExceededError(_EXHAUSTED)
         frontier = {m | cm for m in frontier for cm in maximal} - reached
         reached |= frontier
-    raise InvalidParameterError("no rainbow-path cover exists")
+        depth += 1
+    return depth
 
 
 def empirical_rp(g: Graph, coloring: WeightedColoring) -> int:
@@ -220,68 +229,55 @@ def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple
     """One cover search, for both ``rp`` and ``m``: a minimum-phase rainbow-path
     cover with the fewest distinct vertices, as its paths' vertex tuples, sorted.
 
-    ``_min_phases`` gives the depth ``rp``. An iterative search then branches
-    on the lowest uncovered class, over each distinct class mask holding it
-    (an item) and that item's Pareto-minimal vertex masks. It drops a branch
-    whose vertex union is larger than the best cover's, and a last pick that
-    leaves a class uncovered. Among covers with the fewest vertices it keeps
-    the lexicographically first sorted list of (item index, vertex-mask index)
-    picks, items ordered by (-popcount, class mask). A class bit's item list
-    and an item's Pareto-minimal masks are built the first time the search
-    reaches them, so an rp=1 search builds only the full-class item's. The
-    chosen paths are rebuilt by ``_rebuilt_path``. The signature enumeration,
-    the ``rp`` search, this search and each rebuild get
-    ``rainbow.NODE_BUDGET`` nodes each; this one counts the states it pushes,
-    not the root.
+    Items are the distinct class masks by (-popcount, class mask), each with
+    its ``_minimal`` vertex masks. The cover is the lexicographically first
+    sorted (item, mask) index pick list among the ``rp``-pick covers with the
+    fewest vertices: the least full-class path's when there is one (all have
+    k + 1 vertices). Otherwise the search grows the vertex sets X a cover can
+    avoid, one vertex above max(X) at a time, while the items with a minimal
+    mask avoiding X still cover in ``rp`` picks; a subset of a kept X is kept,
+    so the last level holds every largest X, and a best cover spans the
+    complement U of one. There each item takes its first mask inside U (a
+    later one gives larger picks), U's cover is the first covering
+    ``rp``-combination, and the least over all U wins. Each X tested or
+    scanned costs the (item, mask) pair count, and each combination one
+    node, of this search's own ``rainbow.NODE_BUDGET``.
     """
     found = _rainbow_path_signatures(g, coloring)
     k = len(coloring.classes)
-    rp = _min_phases(k, found)
     full = (1 << k) - 1
-
-    def pareto_min(vmasks) -> list[int]:
-        vmasks = sorted(vmasks, key=lambda v: (v.bit_count(), v))
-        keep: list[int] = []
-        for v in vmasks:
-            if not any(kv & v == kv for kv in keep):
-                keep.append(v)
-        return keep
-
-    items = sorted(found, key=lambda c: (-c.bit_count(), c))
-    pareto: list = [None] * len(items)  # item i's Pareto-minimal vertex masks
-    # per class bit, the items holding it, in reverse so that the stack pops the first
-    holders: list = [None] * k
-    best: tuple[int, list[tuple[int, int]]] = (g.n + 1, [])  # (vertex count, sorted picks)
-    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, 0, ())]
-    budget = rainbow.NODE_BUDGET
-    nodes = 0
-    while stack:
-        cmask, vunion, picks = stack.pop()
-        if cmask == full:
-            best = min(best, (vunion.bit_count(), sorted(picks)))
-            continue
-        if vunion.bit_count() > best[0]:
-            continue
-        b = (~cmask & cmask + 1).bit_length() - 1
-        held = holders[b]
-        if held is None:
-            held = holders[b] = [i for i in reversed(range(len(items))) if items[i] >> b & 1]
-        for i in held:
-            c = items[i]
-            if len(picks) + 1 == rp and cmask | c != full:
-                continue  # the last pick must complete the cover
-            vmasks = pareto[i]
-            if vmasks is None:
-                vmasks = pareto[i] = pareto_min(found[c])
-            for j in reversed(range(len(vmasks))):
-                trial = vunion | vmasks[j]
-                if trial.bit_count() <= best[0]:
-                    nodes += 1
-                    if nodes > budget:
-                        raise BudgetExceededError(_EXHAUSTED)
-                    stack.append((cmask | c, trial, (*picks, (i, j))))
     adj = _adjacency(g, coloring)
-    return sorted(_rebuilt_path(adj, items[i], pareto[i][j]) for i, j in best[1])
+    if full in found:
+        return [_rebuilt_path(adj, full, min(found[full]))]
+    rp = _min_phases(k, found)
+    items = sorted(found, key=lambda c: (-c.bit_count(), c))
+    minimal = [_minimal(found[c]) for c in items]
+    pairs = [(i, j, vs[j]) for i, vs in enumerate(minimal) for j in reversed(range(len(vs)))]
+    nodes = 0
+
+    def avoiding(x: int) -> dict[int, int]:  # {item: its first mask avoiding x}, in item order
+        nonlocal nodes
+        nodes += len(pairs)
+        if nodes > rainbow.NODE_BUDGET:
+            raise BudgetExceededError(_EXHAUSTED)
+        return {i: j for i, j, v in pairs if not v & x}
+
+    level = [0]  # the kept X of the largest size so far
+    while grown := [x | 1 << v for x in level for v in range(x.bit_length(), g.n)
+                    if _min_phases(k, [items[i] for i in avoiding(x | 1 << v)]) == rp]:
+        level = grown
+    covers = []
+    for x in level:
+        inside = list(avoiding(x).items())
+        scan = zip(combinations([items[i] for i, _ in inside], rp), combinations(inside, rp))
+        # one node per combination: the loop counts on from nodes, up to the budget
+        for nodes, (cms, picks) in enumerate(islice(scan, rainbow.NODE_BUDGET - nodes), nodes + 1):
+            if reduce(int.__or__, cms, 0) == full:
+                covers.append(picks)
+                break
+        else:
+            raise BudgetExceededError(_EXHAUSTED)
+    return sorted(_rebuilt_path(adj, items[i], minimal[i][j]) for i, j in min(covers))
 
 
 def _cycles(g: Graph, max_len: int | None, chordless: bool) -> list[tuple[tuple[int, ...], int]]:

@@ -33,12 +33,11 @@ All searches are deterministic: neighbors are visited in ascending index
 order and ties are broken lexicographically on the vertex sequence, so
 repeated runs yield identical witnesses.
 
-Every budgeted search, here and in ``protocol``, keeps one rule: it counts
-the nodes it pushes, never its root, and node ``NODE_BUDGET + 1`` raises
-``BudgetExceededError(_EXHAUSTED)``. A search that stops early raises only
-when its budget runs out before the stop. ``NODE_BUDGET`` is the one budget:
-each search reads it from this module when it starts, so setting it here
-bounds every search.
+Every search, here and in ``protocol``, counts its nodes, never its root;
+node ``NODE_BUDGET + 1`` raises ``BudgetExceededError(_EXHAUSTED)`` unless
+the search has stopped first. A node is a push, except in ``protocol``'s
+``rp`` BFS (a union) and cover search (an (item, mask) pair of a vertex set
+tested or scanned, or a combination). ``NODE_BUDGET``, read here, is the one budget.
 """
 
 from __future__ import annotations
@@ -278,12 +277,14 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex permutations, in lexicographic order.
 
     Vertex v may map to a free vertex of its degree that is adjacent to the
-    images of v's lower neighbours and to no other image placed so far.
+    images of v's lower neighbours and to no other image placed so far. Each
+    image placed is a push: push ``NODE_BUDGET + 1`` raises.
     """
     nbrs = [sum(1 << u for u in a) for a in g.adjacency]
     same_degree = [[t for t in range(g.n) if len(g.adjacency[t]) == len(a)] for a in g.adjacency]
     lower = [[u for u in a if u < v] for v, a in enumerate(g.adjacency)]
     out: list[tuple[int, ...]] = []
+    pushes = 0
     # frame: the untried images of vertex v, the images of 0..v-1, and their bitmask
     stack = [(iter(same_degree[0]), (), 0)]
     while stack:
@@ -296,6 +297,9 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
         else:
             stack.pop()
             continue
+        pushes += 1
+        if pushes > NODE_BUDGET:
+            raise BudgetExceededError(_EXHAUSTED)
         if v + 1 == g.n:
             out.append((*image, t))
         else:

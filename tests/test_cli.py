@@ -385,7 +385,8 @@ class TestSimulations:
         assert (code, out, err) == (3, "", "error: path-search node budget exhausted\n")
 
     def test_validate_records_racn_out_of_budget_as_a_gap(self, capsys, set_node_budget):
-        set_node_budget(200)
+        # shadow p=3: the cover search needs 384 nodes, and the largest labeling pass 446
+        set_node_budget(445)
         code, out, err = run(capsys, "validate", "--family", "shadow", "--p-range", "2..3",
                              "--max-n", "10")
         assert (code, err) == (0, "")

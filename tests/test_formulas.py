@@ -239,21 +239,40 @@ class TestValidateFamily:
         assert not any(gap.startswith("m/rp") for gap in row.gaps)
 
     def test_racn_budget_gap(self, set_node_budget):
-        # shadow p=3's path read, cover search and leaf tests fit in 200 nodes; its
-        # labeling passes place up to 446 labels
-        set_node_budget(200)
+        # shadow p=3's cover search charges 384 nodes (6 one-vertex sets tested
+        # and the whole vertex set scanned, 54 (item, mask) pairs each, then 6
+        # combinations); its automorphism search pushes 180 nodes and its leaf
+        # tests fit too, but its labeling passes place up to 446 labels
+        set_node_budget(384)
         rows = validate_family("shadow", range(2, 4), racn_max_n=10).rows
         assert [row.racn_exact for row in rows] == [3, None]
         assert (rows[1].m.observed, rows[1].rp.observed) == (6, 2)
         assert rows[1].gaps == ("exact racn skipped: budget exceeded",)
+        set_node_budget(383)
+        (row,) = validate_family("shadow", range(3, 4), racn_max_n=10).rows
+        assert row.gaps == ("m/rp search skipped: budget exceeded",
+                            "exact racn skipped: budget exceeded")
 
     def test_cover_budget_gap_in_the_cover_search(self, set_node_budget):
+        # mycielski p=6: the enumeration pushes 1,556 paths; the cover search
+        # charges 15 vertex sets 749 (item, mask) pairs each, then 4 combinations
         g, _, coloring = family_coloring("mycielski", 6)
-        set_node_budget(100_000)
+        set_node_budget(11_238)
         _rainbow_path_signatures(g, coloring)  # the enumeration fits, the search not
         (row,) = validate_family("mycielski", range(6, 7)).rows
         assert row.m.observed is None and row.rp.observed is None
         assert "m/rp search skipped: budget exceeded" in row.gaps
+        set_node_budget(11_239)
+        (row,) = validate_family("mycielski", range(6, 7)).rows
+        assert (row.rp.observed, row.m.observed) == (3, 12)
+
+    @pytest.mark.parametrize("p,rp,m", [(6, 3, 12), (7, 3, 14), (8, 4, 16)])
+    def test_mycielski_cover_frontier(self, p, rp, m):
+        # the branch-and-bound that the search over avoided vertex sets replaced
+        # took 1-2 s on p=6 and 7, and ran out of budget on p=8
+        (row,) = validate_family("mycielski", range(p, p + 1)).rows
+        assert (row.rp.observed, row.m.observed) == (rp, m)
+        assert not any(gap.startswith("m/rp") for gap in row.gaps)
 
 
 # every family cell that the cover-search tests in test_protocol.py reach

@@ -420,9 +420,9 @@ def grouped_signatures(flat):
     return grouped
 
 
-def random_labeled_graph(rng):
-    """A random connected graph on 4..8 vertices with a random bijective labeling."""
-    n = rng.randint(4, 8)
+def random_labeled_graph(rng, low=4, high=8):
+    """A random connected graph on low..high vertices with a random bijective labeling."""
+    n = rng.randint(low, high)
     edges = {(rng.randrange(v), v) for v in range(1, n)}  # a random spanning tree
     for _ in range(rng.randint(0, n)):
         edges.add(tuple(sorted(rng.sample(range(n), 2))))
@@ -575,6 +575,48 @@ def recursive_cover_choice(g, coloring):
     return paths, {v for v in range(g.n) if union >> v & 1}
 
 
+def branch_and_bound_cover_choice(g, coloring):
+    """The iterative branch-and-bound that the search over avoided vertex sets replaced.
+
+    It branches on the lowest uncovered class, over each item holding it and
+    that item's minimal vertex masks, drops a branch whose vertex union is
+    larger than the best cover's and a last pick that leaves a class
+    uncovered, and keeps the least (vertex count, sorted picks).
+    """
+    found = _rainbow_path_signatures(g, coloring)
+    k = len(coloring.classes)
+    rp = all_masks_min_phases(k, set(found))
+    full = (1 << k) - 1
+    items = sorted(found, key=lambda c: (-c.bit_count(), c))
+    minimal = []
+    for c in items:
+        keep = []
+        for v in sorted(found[c], key=lambda v: (v.bit_count(), v)):
+            if not any(kv & v == kv for kv in keep):
+                keep.append(v)
+        minimal.append(keep)
+    best = (g.n + 1, [])
+    stack = [(0, 0, ())]
+    while stack:
+        cmask, vunion, picks = stack.pop()
+        if cmask == full:
+            best = min(best, (vunion.bit_count(), sorted(picks)))
+            continue
+        if vunion.bit_count() > best[0]:
+            continue
+        b = (~cmask & cmask + 1).bit_length() - 1
+        for i in reversed(range(len(items))):
+            c = items[i]
+            if not c >> b & 1 or len(picks) + 1 == rp and cmask | c != full:
+                continue
+            for j in reversed(range(len(minimal[i]))):
+                trial = vunion | minimal[i][j]
+                if trial.bit_count() <= best[0]:
+                    stack.append((cmask | c, trial, (*picks, (i, j))))
+    adj = _adjacency(g, coloring)
+    return sorted(_rebuilt_path(adj, items[i], minimal[i][j]) for i, j in best[1])
+
+
 # every cell where the recursive search finishes quickly; mycielski p=6 takes
 # about a minute there
 COVER_CELLS = (
@@ -604,6 +646,28 @@ class TestCoverSearch:
             assert empirical_rp(g, coloring) == len(want), (g.edges, coloring.weights)
             assert paths == want, (g.edges, coloring.weights)
 
+    def test_same_cover_as_branch_and_bound_on_mycielski_6(self):
+        # rp 3 and m 12: the branch-and-bound pushes about a million nodes here
+        g, _, coloring = family_coloring("mycielski", 6)
+        paths = _min_vertex_cover_choice(g, coloring)
+        assert paths == branch_and_bound_cover_choice(g, coloring)
+        assert (len(paths), len(set().union(*paths))) == (3, 12)
+
+    def test_same_cover_as_branch_and_bound_on_random_labeled_graphs(self):
+        # 232 of these 300 need more than one path, up to 4
+        rng = random.Random(1)
+        phases = []
+        for _ in range(300):
+            g, coloring = random_labeled_graph(rng, 3, 9)
+            paths = _min_vertex_cover_choice(g, coloring)
+            assert paths == branch_and_bound_cover_choice(g, coloring), (g.edges, coloring.weights)
+            phases.append(len(paths))
+        assert (sum(rp > 1 for rp in phases), max(phases)) == (232, 4)
+
+    def test_phases_of_masks_that_miss_a_class(self):
+        assert _min_phases(3, [0b011, 0b001]) is None
+        assert _min_phases(3, [0b011, 0b100]) == 2
+
     # the recursive search ran out of stack on these: one recursion level per class mask
     @pytest.mark.parametrize("family,p", [("shadow", 9), ("shadow", 11), ("splitting", 16)])
     def test_former_frontier_cells_take_one_path(self, family, p):
@@ -614,14 +678,18 @@ class TestCoverSearch:
         assert empirical_m(g, coloring) == fewest
 
     def test_budget_counts_search_nodes(self, set_node_budget):
-        # mycielski p=4: the enumeration pushes 358 paths, the rp search forms
-        # 56 unions and the cover search pushes 478 nodes
+        # mycielski p=4: the enumeration pushes 358 paths and the rp search
+        # forms 56 unions. The cover search has 169 (item, mask) pairs; it
+        # tests the 9 one-vertex sets and 1 two-vertex set, keeps one
+        # one-vertex set, scans that set once more for its cover, and meets
+        # the cover at the first combination: 11 * 169 + 1 = 1,860 nodes
         g, _, coloring = family_coloring("mycielski", 4)
-        set_node_budget(477)
+        set_node_budget(1859)
         _rainbow_path_signatures(g, coloring)
-        with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
+        with pytest.raises(BudgetExceededError, match="path-search node budget exhausted") as info:
             empirical_m(g, coloring)
-        set_node_budget(478)
+        assert info.traceback[-1].name == "_min_vertex_cover_choice"
+        set_node_budget(1860)
         assert empirical_m(g, coloring) == 8
 
 

@@ -386,12 +386,17 @@ def test_too_large_raises():
 
 
 def test_leaf_search_is_budgeted(set_node_budget):
-    # splitting p=3's first pass places its 6 labels without backtracking,
-    # then the leaf test from x2 pushes 7 nodes: the 7th is past a budget of 6
-    set_node_budget(6)
-    with pytest.raises(BudgetExceededError, match="path-search node budget exhausted") as info:
-        racn_exact(build_graph("splitting", 3))
-    assert info.traceback[-1].name == "_rainbow_paths"
+    # this 6-vertex graph has only the identity automorphism, which its search
+    # finds in 7 pushes. Its leaf tests push up to 11 nodes from one vertex, and
+    # a labeling pass places more than 11 labels, but only after a leaf test
+    # has pushed 11: budgets 8 to 10 stop in a leaf test
+    g = custom_graph(6, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (1, 5), (3, 4)])
+    for budget, stage in [(7, "automorphisms"), (8, "_rainbow_paths"), (10, "_rainbow_paths"),
+                          (11, "_first_labeling")]:
+        set_node_budget(budget)
+        with pytest.raises(BudgetExceededError, match="path-search node budget exhausted") as info:
+            racn_exact(g)
+        assert info.traceback[-1].name == stage, budget
 
 
 def test_labeling_search_is_budgeted(set_node_budget):

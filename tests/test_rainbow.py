@@ -244,6 +244,17 @@ class TestAutomorphisms:
     def test_path_group_order(self):
         assert len(automorphisms(build_graph("path", 6))) == 2  # identity + reversal
 
+    def test_budget_counts_placed_images(self, set_node_budget):
+        # the star K_1,4: the centre has 1 image, then its leaves have 4, 4*3,
+        # 4*3*2 and 4! partial images, 65 pushes for the 24 automorphisms
+        star = custom_graph(5, [(0, leaf) for leaf in range(1, 5)])
+        set_node_budget(64)
+        with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
+            vertex_orbits(star)
+        set_node_budget(65)
+        assert len(automorphisms(star)) == 24
+        assert vertex_orbits(star) == [0, 1, 1, 1, 1]
+
     def test_orbit_reps_are_minima(self):
         for family in ("shadow", "splitting", "mycielski"):
             g = build_graph(family, 3)
