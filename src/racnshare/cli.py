@@ -28,8 +28,8 @@ def _parse_p_range(text: str) -> range:
         a, b = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError("expected a range like 2..6") from None
-    if a < 2 or b < a:
-        raise argparse.ArgumentTypeError("need 2 <= A <= B in A..B")
+    if b < a:
+        raise argparse.ArgumentTypeError("need A <= B in A..B")
     return range(a, b + 1)
 
 

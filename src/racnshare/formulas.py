@@ -193,7 +193,7 @@ def validate_family(
                 rp_obs, m_obs = 1, k + 1
             else:
                 paths = protocol._min_vertex_cover_choice(g, coloring)
-                rp_obs, m_obs = len(paths), len(set().union(*paths))
+                rp_obs, m_obs = len(paths), len(set().union(*(path.vertices for path in paths)))
         except BudgetExceededError:
             rp_obs = m_obs = None
             gaps.append("m/rp search skipped: budget exceeded")

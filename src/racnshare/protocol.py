@@ -21,8 +21,8 @@ from . import rainbow
 from .errors import BudgetExceededError, InvalidParameterError, RacnShareError
 from .graphs import Graph, bfs_parents
 from .labelings import Labeling, WeightedColoring, edge_weights
-from .rainbow import (_EXHAUSTED, RainbowPath, _adjacency, _fewest_edge_paths, _rainbow_paths,
-                      max_new_color_path)
+from .rainbow import (_EXHAUSTED, RainbowPath, _fewest_edge_paths, _rainbow_path_signatures,
+                      _rebuilt_path, max_new_color_path)
 from .sharing import SecretConfig, Share, reconstruct, split
 
 
@@ -108,11 +108,7 @@ def simulate_reconstruction(
     def mask(weights) -> int:
         return sum(bit_of[c] for c in weights)
 
-    if optimal:
-        paths = [RainbowPath(vs, tuple(coloring.weight(a, b) for a, b in zip(vs, vs[1:])))
-                 for vs in _min_vertex_cover_choice(g, coloring)]
-    else:
-        paths = [max_new_color_path(g, coloring, cap)]
+    paths = _min_vertex_cover_choice(g, coloring) if optimal else [max_new_color_path(g, coloring, cap)]
     # each phase takes the candidate (class mask, path) with the most new
     # classes, at most cap, then the fewest edges, then the first listed
     candidates = [(mask(p.weights), p) for p in paths]
@@ -143,42 +139,6 @@ def simulate_reconstruction(
         participants_used=frozenset(used),
         recovered=recovered,
     )
-
-
-def _rainbow_path_signatures(g: Graph, coloring: WeightedColoring) -> dict[int, list[int]]:
-    """Enumerate every rainbow path's signature (class bitmask, vertex bitmask).
-
-    Returns ``{class mask: [vertex masks]}``. Each path's packed
-    ``_rainbow_paths`` state is kept once, in an insertion-ordered dict, and
-    then grouped by class mask, so the class masks and each one's vertex
-    masks come in the order the lexicographic DFS first meets them. No path
-    is kept: ``_rebuilt_path`` finds a signature's first path again. Raises
-    ``BudgetExceededError`` when the budget runs out.
-    """
-    n = g.n
-    vmask = (1 << n) - 1
-    states = dict.fromkeys(state for _, state in _rainbow_paths(_adjacency(g, coloring), range(n)))
-    found: dict[int, list[int]] = {}
-    for state in states:
-        found.setdefault(state >> n, []).append(state & vmask)
-    return found
-
-
-def _rebuilt_path(adj, cmask: int, vmask: int) -> tuple[int, ...]:
-    """The first rainbow path, in lexicographic DFS order over ``adj`` (an
-    ``_adjacency``), whose class mask is ``cmask`` and vertex mask ``vmask``.
-
-    The DFS starts only at the vertices of ``vmask`` and takes only the edges
-    whose vertex and class bits lie inside both masks. Every prefix of such a
-    path lies inside them too, so this DFS meets those paths in the full
-    DFS's order and returns its first one. It is a search of its own: push
-    ``rainbow.NODE_BUDGET + 1`` raises ``BudgetExceededError``.
-    """
-    target = vmask | cmask << len(adj)
-    inside = [[e for e in row if not e[2] & ~target] for row in adj]
-    sources = [a for a in range(len(adj)) if vmask >> a & 1]
-    return next(tuple([t[0] for t in taken])
-                for taken, state in _rainbow_paths(inside, sources) if state == target)
 
 
 def _minimal(masks) -> list[int]:
@@ -222,12 +182,13 @@ def empirical_rp(g: Graph, coloring: WeightedColoring) -> int:
 
 def empirical_m(g: Graph, coloring: WeightedColoring) -> int:
     """Fewest distinct vertices over all minimum-phase rainbow-path covers."""
-    return len(set().union(*_min_vertex_cover_choice(g, coloring)))
+    return len(set().union(*(p.vertices for p in _min_vertex_cover_choice(g, coloring))))
 
 
-def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple[int, ...]]:
+def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[RainbowPath]:
     """One cover search, for both ``rp`` and ``m``: a minimum-phase rainbow-path
-    cover with the fewest distinct vertices, as its paths' vertex tuples, sorted.
+    cover with the fewest distinct vertices, as ``RainbowPath``s sorted by
+    their vertex sequences, each the ``_rebuilt_path`` of its signature.
 
     Items are the distinct class masks by (-popcount, class mask), each with
     its ``_minimal`` vertex masks. The cover is the lexicographically first
@@ -246,9 +207,8 @@ def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple
     found = _rainbow_path_signatures(g, coloring)
     k = len(coloring.classes)
     full = (1 << k) - 1
-    adj = _adjacency(g, coloring)
     if full in found:
-        return [_rebuilt_path(adj, full, min(found[full]))]
+        return [_rebuilt_path(g, coloring, full, min(found[full]))]
     rp = _min_phases(k, found)
     items = sorted(found, key=lambda c: (-c.bit_count(), c))
     minimal = [_minimal(found[c]) for c in items]
@@ -277,7 +237,8 @@ def _min_vertex_cover_choice(g: Graph, coloring: WeightedColoring) -> list[tuple
                 break
         else:
             raise BudgetExceededError(_EXHAUSTED)
-    return sorted(_rebuilt_path(adj, items[i], minimal[i][j]) for i, j in min(covers))
+    return sorted((_rebuilt_path(g, coloring, items[i], minimal[i][j]) for i, j in min(covers)),
+                  key=lambda p: p.vertices)
 
 
 def _cycles(g: Graph, max_len: int | None, chordless: bool) -> list[tuple[tuple[int, ...], int]]:

@@ -17,17 +17,17 @@ One iterative enumerator, ``_rainbow_paths``, serves every path search: a
 lexicographic DFS over an adjacency built once per coloring, yielding every
 rainbow path as it is pushed. Its state is one int bitmask: on n vertices,
 bit v marks vertex v as used and bit n+i weight class i, so each adjacency
-entry carries the one mask that tests, pushes and pops its edge.
-``exists_rainbow_path``, ``is_rainbow_connected`` and
-``_rainbow_connected`` (the leaf test of ``racn_exact``, and ``racn_upper``)
-stop once every target is reached: the path on the stack at the first
-arrival at v is the path a DFS aimed at v would return, so n single-source
-searches replace n(n-1)/2 pair searches.
-``max_new_color_path`` stops at the first path with as many edges as
-its cap allows, and the cover search in ``protocol`` reads every path.
-Greedy reconstruction reads the paths at most twice per run: once, through
-``max_new_color_path``, for its first phase, where every edge adds a new
-class, and once, through ``_fewest_edge_paths``, for all the later ones.
+entry carries the one mask that tests, pushes and pops its edge. Every reader
+of that state lives here. ``_first_arrivals``, behind
+``exists_rainbow_path``, ``is_rainbow_connected`` and ``_rainbow_connected``
+(the leaf test of ``racn_exact`` and ``racn_upper``), stops once every target
+is reached: the path on the stack at the first arrival at v is the path a DFS
+aimed at v would return, so n single-source searches replace n(n-1)/2 pair
+searches. Greedy reconstruction's first phase, where every edge adds a new
+class, takes ``max_new_color_path``, which stops at the first path with as
+many edges as its cap allows; ``_fewest_edge_paths`` ranks all its later
+phases. The cover search in ``protocol`` reads the class and vertex masks of
+``_rainbow_path_signatures`` and the paths of ``_rebuilt_path``.
 
 All searches are deterministic: neighbors are visited in ascending index
 order and ties are broken lexicographically on the vertex sequence, so
@@ -271,6 +271,42 @@ def _fewest_edge_paths(g: Graph, w: WeightedColoring, rest: int) -> list[tuple[i
                 if state >> n == rest:
                     break
     return [(s >> n, _as_path(taken)) for s, taken in table.items()]
+
+
+def _rainbow_path_signatures(g: Graph, w: WeightedColoring) -> dict[int, list[int]]:
+    """Enumerate every rainbow path's signature (class bitmask, vertex bitmask).
+
+    Returns ``{class mask: [vertex masks]}``. Each path's packed
+    ``_rainbow_paths`` state is kept once, in an insertion-ordered dict, and
+    then grouped by class mask, so the class masks and each one's vertex
+    masks come in the order the lexicographic DFS first meets them. No path
+    is kept: ``_rebuilt_path`` finds a signature's first path again. Raises
+    ``BudgetExceededError`` when the budget runs out.
+    """
+    n = g.n
+    vmask = (1 << n) - 1
+    states = dict.fromkeys(state for _, state in _rainbow_paths(_adjacency(g, w), range(n)))
+    found: dict[int, list[int]] = {}
+    for state in states:
+        found.setdefault(state >> n, []).append(state & vmask)
+    return found
+
+
+def _rebuilt_path(g: Graph, w: WeightedColoring, cmask: int, vmask: int) -> RainbowPath:
+    """The first rainbow path, in lexicographic DFS order, whose class mask is
+    ``cmask`` and vertex mask ``vmask``.
+
+    The DFS starts only at the vertices of ``vmask`` and takes only the edges
+    whose vertex and class bits lie inside both masks. Every prefix of such a
+    path lies inside them too, so this DFS meets those paths in the full
+    DFS's order and returns its first one. It is a search of its own: push
+    ``NODE_BUDGET + 1`` raises ``BudgetExceededError``.
+    """
+    target = vmask | cmask << g.n
+    inside = [[e for e in row if not e[2] & ~target] for row in _adjacency(g, w)]
+    sources = [a for a in range(g.n) if vmask >> a & 1]
+    return next(_as_path(taken) for taken, state in _rainbow_paths(inside, sources)
+                if state == target)
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:

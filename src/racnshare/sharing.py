@@ -62,12 +62,14 @@ class SecretConfig:
 
     threshold: int
     share_count: int
-    seed: int | None = None
+    seed: int | None = None  # >= 0: random.Random seeds from abs(), so -t would repeat t's byte 0
 
     def __post_init__(self) -> None:
         k, n, seed = self.threshold, self.share_count, self.seed
         if not (type(k) is int and type(n) is int and (seed is None or type(seed) is int)):
             raise InvalidParameterError("threshold, share_count, seed must be integers")
+        if seed is not None and seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {seed}")
         if not 1 <= k <= n <= 255:
             raise InvalidParameterError(
                 f"need 1 <= threshold <= share_count <= 255, got k={k}, n={n}"

@@ -149,6 +149,10 @@ class TestFormulasValidate:
             main(["validate", "--family", "shadow", "--p-range", "5"])
         assert exc.value.code == 2
 
+    def test_p_below_two_rejected_by_the_graph_layer(self, capsys):
+        code, out, err = run(capsys, "validate", "--family", "shadow", "--p-range", "1..3")
+        assert (code, out, err) == (2, "", "error: p must be an integer >= 2, got 1\n")
+
 
 class TestShares:
     def test_split_then_reconstruct(self, capsys):

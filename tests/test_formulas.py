@@ -12,7 +12,8 @@ from racnshare import (
     theorem_lower_bound,
     validate_family,
 )
-from racnshare.protocol import _min_vertex_cover_choice, _rainbow_path_signatures
+from racnshare.protocol import _min_vertex_cover_choice
+from racnshare.rainbow import _rainbow_path_signatures
 
 
 # The closed forms as the paper writes them, one function per quantity: the
@@ -289,7 +290,7 @@ def test_rp_and_m_match_the_cover_search(family, p):
     # with k edges; the cover search stays the oracle
     (row,) = validate_family(family, range(p, p + 1), racn_max_n=0).rows
     g, _, coloring = family_coloring(family, p)
-    paths = _min_vertex_cover_choice(g, coloring)
+    paths = [path.vertices for path in _min_vertex_cover_choice(g, coloring)]
     assert (row.rp.observed, row.m.observed) == (len(paths), len(set().union(*paths)))
 
 

@@ -23,15 +23,9 @@ from racnshare import (
     simulate_dissemination,
     simulate_reconstruction,
 )
-from racnshare.protocol import (
-    _cycles,
-    _min_phases,
-    _min_vertex_cover_choice,
-    _rainbow_path_signatures,
-    _rebuilt_path,
-)
+from racnshare.protocol import _cycles, _min_phases, _min_vertex_cover_choice
 from racnshare import rainbow
-from racnshare.rainbow import _adjacency
+from racnshare.rainbow import _rainbow_path_signatures, _rebuilt_path
 
 
 def is_chordless(g, cycle):
@@ -444,22 +438,20 @@ class TestSignaturesMatchRecursive:
     @pytest.mark.parametrize("family,p", SIGNATURE_CELLS)
     def test_rebuilt_paths_are_the_first_ones(self, family, p):
         g, _, coloring = family_coloring(family, p)
-        adj = _adjacency(g, coloring)
         for (cmask, vmask), path in recursive_signatures(g, coloring, rainbow.NODE_BUDGET).items():
-            assert _rebuilt_path(adj, cmask, vmask) == path, (cmask, vmask)
+            assert _rebuilt_path(g, coloring, cmask, vmask).vertices == path, (cmask, vmask)
 
     def test_rebuilt_paths_on_random_labeled_graphs(self):
         rng = random.Random(0)
         for _ in range(100):
             g, coloring = random_labeled_graph(rng)
-            adj = _adjacency(g, coloring)
             for (cmask, vmask), path in recursive_signatures(g, coloring, 10**6).items():
-                assert _rebuilt_path(adj, cmask, vmask) == path, (g.edges, coloring.weights)
+                rebuilt = _rebuilt_path(g, coloring, cmask, vmask)
+                assert rebuilt.vertices == path, (g.edges, coloring.weights)
 
     def test_rebuild_budget(self, set_node_budget):
         # shadow p=5's last-found full-class signature, whose rebuild pushes 150 nodes
         g, _, coloring = family_coloring("shadow", 5)
-        adj = _adjacency(g, coloring)
         full = (1 << len(coloring.classes)) - 1
         (cmask, vmask), path = [sig for sig in recursive_signatures(g, coloring, 10**6).items()
                                 if sig[0][0] == full][-1]
@@ -473,14 +465,14 @@ class TestSignaturesMatchRecursive:
                 yield step
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("racnshare.protocol._rainbow_paths", counted)
-            assert _rebuilt_path(adj, cmask, vmask) == path
+            mp.setattr("racnshare.rainbow._rainbow_paths", counted)
+            assert _rebuilt_path(g, coloring, cmask, vmask).vertices == path
         assert pushes == 150
         set_node_budget(pushes - 1)
         with pytest.raises(BudgetExceededError, match="path-search node budget exhausted"):
-            _rebuilt_path(adj, cmask, vmask)
+            _rebuilt_path(g, coloring, cmask, vmask)
         set_node_budget(pushes)
-        assert _rebuilt_path(adj, cmask, vmask) == path
+        assert _rebuilt_path(g, coloring, cmask, vmask).vertices == path
 
     @pytest.mark.parametrize("family", ["shadow", "splitting", "mycielski"])
     def test_budget_raises_agree(self, family, set_node_budget):
@@ -613,8 +605,7 @@ def branch_and_bound_cover_choice(g, coloring):
                 trial = vunion | minimal[i][j]
                 if trial.bit_count() <= best[0]:
                     stack.append((cmask | c, trial, (*picks, (i, j))))
-    adj = _adjacency(g, coloring)
-    return sorted(_rebuilt_path(adj, items[i], minimal[i][j]) for i, j in best[1])
+    return sorted(_rebuilt_path(g, coloring, items[i], minimal[i][j]).vertices for i, j in best[1])
 
 
 # every cell where the recursive search finishes quickly; mycielski p=6 takes
@@ -630,7 +621,7 @@ class TestCoverSearch:
     @pytest.mark.parametrize("family,p", COVER_CELLS)
     def test_same_cover_as_recursive(self, family, p):
         g, _, coloring = family_coloring(family, p)
-        paths = _min_vertex_cover_choice(g, coloring)
+        paths = [path.vertices for path in _min_vertex_cover_choice(g, coloring)]
         want_paths, want_vertices = recursive_cover_choice(g, coloring)
         assert empirical_rp(g, coloring) == len(want_paths)
         assert paths == want_paths
@@ -642,14 +633,17 @@ class TestCoverSearch:
         for _ in range(100):
             g, coloring = random_labeled_graph(rng)
             want, _ = recursive_cover_choice(g, coloring)
-            paths = _min_vertex_cover_choice(g, coloring)
+            cover = _min_vertex_cover_choice(g, coloring)
             assert empirical_rp(g, coloring) == len(want), (g.edges, coloring.weights)
-            assert paths == want, (g.edges, coloring.weights)
+            assert [path.vertices for path in cover] == want, (g.edges, coloring.weights)
+            for path in cover:  # each path carries its edges' weights
+                vs = path.vertices
+                assert path.weights == tuple(map(coloring.weight, vs, vs[1:]))
 
     def test_same_cover_as_branch_and_bound_on_mycielski_6(self):
         # rp 3 and m 12: the branch-and-bound pushes about a million nodes here
         g, _, coloring = family_coloring("mycielski", 6)
-        paths = _min_vertex_cover_choice(g, coloring)
+        paths = [path.vertices for path in _min_vertex_cover_choice(g, coloring)]
         assert paths == branch_and_bound_cover_choice(g, coloring)
         assert (len(paths), len(set().union(*paths))) == (3, 12)
 
@@ -659,7 +653,7 @@ class TestCoverSearch:
         phases = []
         for _ in range(300):
             g, coloring = random_labeled_graph(rng, 3, 9)
-            paths = _min_vertex_cover_choice(g, coloring)
+            paths = [path.vertices for path in _min_vertex_cover_choice(g, coloring)]
             assert paths == branch_and_bound_cover_choice(g, coloring), (g.edges, coloring.weights)
             phases.append(len(paths))
         assert (sum(rp > 1 for rp in phases), max(phases)) == (232, 4)

@@ -83,6 +83,12 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             SecretConfig(threshold=2, share_count=5, seed="x")
 
+    def test_rejects_negative_seed(self):
+        # random.Random seeds from abs(), so seed -3 would deal seed 3's byte 0
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -3"):
+            SecretConfig(threshold=3, share_count=5, seed=-3)
+        assert SecretConfig(threshold=3, share_count=5, seed=0).seed == 0
+
     def test_seed_defaults_to_none(self):
         assert SecretConfig(threshold=2, share_count=3).seed is None
 

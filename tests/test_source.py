@@ -67,3 +67,26 @@ def test_no_function_calls_itself(path):
             found += [f"{fn.name} (line {call.lineno})" for call in ast.walk(fn)
                       if isinstance(call, ast.Call) and callee(call) == fn.name]
     assert found == []
+
+
+def code_names(tree: ast.Module) -> set[str]:
+    """Every name that ``tree``'s code reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_only_rainbow_knows_the_packed_path_state():
+    # the enumerator's packed state and the adjacency that builds it stay
+    # behind rainbow.py, so no other module decodes a path's bits
+    found = [f"{path.name}: {name}"
+             for path in Path(racnshare.__file__).parent.glob("*.py") if path.name != "rainbow.py"
+             for name in sorted(code_names(ast.parse(path.read_text(encoding="utf-8")))
+                                & {"_rainbow_paths", "_adjacency"})]
+    assert found == []
