@@ -241,7 +241,7 @@ def _cmd_reconstruct(args) -> int:
         shares.extend(serialize.share_from_dict(d) for d in loaded)
     for text in args.share:
         idx, sep, hexpart = text.partition(":")
-        if not sep:
+        if not (sep and idx.isascii() and idx.isdigit()):
             print(f"reconstruct: bad --share {text!r}, expected INDEX:HEX",
                   file=sys.stderr)
             return 2

@@ -18,16 +18,17 @@ lexicographic DFS over an adjacency built once per coloring, yielding every
 rainbow path as it is pushed. Its state is one int bitmask: on n vertices,
 bit v marks vertex v as used and bit n+i weight class i, so each adjacency
 entry carries the one mask that tests, pushes and pops its edge. Every reader
-of that state lives here. ``_first_arrivals``, behind
-``exists_rainbow_path``, ``is_rainbow_connected`` and ``_rainbow_connected``
-(the leaf test of ``racn_exact`` and ``racn_upper``), stops once every target
-is reached: the path on the stack at the first arrival at v is the path a DFS
-aimed at v would return, so n single-source searches replace n(n-1)/2 pair
-searches. Greedy reconstruction's first phase, where every edge adds a new
-class, takes ``max_new_color_path``, which stops at the first path with as
-many edges as its cap allows; ``_fewest_edge_paths`` ranks all its later
-phases. The cover search in ``protocol`` reads the class and vertex masks of
-``_rainbow_path_signatures`` and the paths of ``_rebuilt_path``.
+of that state lives here, and ``_adjacency`` is its one layout.
+``_first_arrivals``, behind ``exists_rainbow_path``, ``is_rainbow_connected``
+and ``racn_upper`` (also the leaf test of ``racn_exact``), stops once every
+target is reached: the path on the stack at the first arrival at v is the
+path a DFS aimed at v would return, so n single-source searches replace
+n(n-1)/2 pair searches. Greedy reconstruction's first phase, where every
+edge adds a new class, takes ``max_new_color_path``, which stops at the
+first path with as many edges as its cap allows; ``_fewest_edge_paths``
+ranks all its later phases. The cover search in ``protocol`` reads the class
+and vertex masks of ``_rainbow_path_signatures`` and the paths of
+``_rebuilt_path``.
 
 All searches are deterministic: neighbors are visited in ascending index
 order and ties are broken lexicographically on the vertex sequence, so
@@ -43,7 +44,6 @@ tested or scanned, or a combination). ``NODE_BUDGET``, read here, is the one bud
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import Graph, bridge_count, degree_stats, diameter
@@ -367,16 +367,6 @@ def _max_cardinality_order(g: Graph) -> list[int]:
     return order
 
 
-def _rainbow_connected(g: Graph, labels) -> bool:
-    """Whether the weights that ``labels`` induce on the connected graph ``g``
-    are rainbow connected: the searches of ``is_rainbow_connected``, with
-    weight s as class bit s, packed as state bit n+s, and no witness paths."""
-    n = g.n
-    adj = [[(b, s, 1 << b | 1 << n + s) for b in nbrs for s in (labels[a] + labels[b],)]
-           for a, nbrs in enumerate(g.adjacency)]
-    return not any(_first_arrivals(adj, u, (1 << n) - (2 << u)) for u in range(n - 1))
-
-
 def _first_labeling(
     g: Graph, order: list[int], cands: list[int], bound: int, accept
 ) -> tuple[tuple[int, ...] | None, int]:
@@ -466,7 +456,7 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
     find is the witness. Label 1 goes only on one representative per
     automorphism orbit: some solution survives that in any order, so the
     search stays exact, and the witness is the lexicographically first of
-    minimum value.
+    minimum value. ``racn_upper`` tests each complete labeling.
     """
     if g.n > max_n:
         raise BudgetExceededError(
@@ -481,7 +471,9 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
              for v, rep in enumerate(vertex_orbits(g))]
     by_cardinality = _max_cardinality_order(g)
 
-    rainbow_connected = partial(_rainbow_connected, g)
+    def rainbow_connected(labels):
+        return racn_upper(g, Labeling(labels)) is not None
+
     examined = 0
     start = max(diameter(g), degree_stats(g)[1], bridge_count(g))
     for bound in range(start, len(g.edges) + 1):
@@ -519,8 +511,12 @@ def racn_upper(g: Graph, labeling: Labeling) -> int | None:
 
     It runs the searches of ``is_rainbow_connected`` but keeps no witness
     paths, whose map would hold one path for each of the n(n-1)/2 pairs.
+    ``racn_exact`` tests each complete labeling with it.
     """
     coloring = edge_weights(g, labeling)
     if not g.is_connected():
         raise InvalidParameterError("graph is not connected")
-    return len(coloring.classes) if _rainbow_connected(g, labeling.values) else None
+    adj = _adjacency(g, coloring)
+    if any(_first_arrivals(adj, u, (1 << g.n) - (2 << u)) for u in range(g.n - 1)):
+        return None
+    return len(coloring.classes)

@@ -222,10 +222,13 @@ class TestShares:
                              "--p", "3", "--secret-hex", "")
         assert (code, out, err) == (2, "", "error: secret must be a nonempty byte string\n")
 
-    def test_bad_share_syntax(self, capsys):
-        code, _, err = run(capsys, "reconstruct", "--share", "notahex", "--k", "1")
-        assert code == 2
-        assert "INDEX:HEX" in err
+    @pytest.mark.parametrize("share", ["notahex", ":ab", "x:ab", "+1:ab", " 1:ab",
+                                       "1_0:ab", "\u0661:ab"])
+    def test_bad_share_syntax(self, capsys, share):
+        # INDEX is ASCII decimal digits only, not whatever int() accepts
+        code, out, err = run(capsys, "reconstruct", "--share", share, "--k", "1")
+        assert (code, out, err) == (
+            2, "", f"reconstruct: bad --share {share!r}, expected INDEX:HEX\n")
 
     def test_bad_hex_exits_2(self, capsys):
         code, _, err = run(

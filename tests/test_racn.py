@@ -13,7 +13,6 @@ builds by probing.
 
 import heapq
 import itertools
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +36,6 @@ from racnshare.graphs import bridge_count
 from racnshare.rainbow import (
     _first_labeling,
     _max_cardinality_order,
-    _rainbow_connected,
     vertex_orbits,
 )
 
@@ -109,6 +107,12 @@ def orbit_cands(g):
     labels_mask = (2 << g.n) - 2
     return [labels_mask if rep == v else labels_mask & ~2
             for v, rep in enumerate(vertex_orbits(g))]
+
+
+def leaf_test(g):
+    """``racn_exact``'s test of a complete labeling: does its coloring of
+    ``g`` rainbow connect every pair?"""
+    return lambda labels: racn_upper(g, Labeling(labels)) is not None
 
 
 def index_order_witness(g, value):
@@ -205,7 +209,7 @@ def assert_same_as_forward_checking(g):
         m.setattr(rainbow, "_first_labeling", both)
         value = racn_exact(g, max_n=g.n).value
     cands = orbit_cands(g)
-    accept = partial(_rainbow_connected, g)
+    accept = leaf_test(g)
     for order in (_max_cardinality_order(g), list(range(g.n))):
         for bound in range(max(diameter(g), degree_stats(g)[1], bridge_count(g)), value + 1):
             both(g, order, cands, bound, accept)
@@ -420,11 +424,28 @@ def test_tree_starts_at_its_bridge_count():
         8, (1, 2, 3, 4, 5, 6, 8, 7, 9), 46)
 
 
+@pytest.mark.parametrize("g,examined", [
+    (build_graph("shadow", 4), 1),
+    (build_graph("splitting", 4), 4),
+    (custom_graph(9, [(0, 2), (1, 3), (1, 4), (1, 6), (2, 4), (2, 5), (2, 8), (5, 7)]), 46),
+], ids=["shadow-4", "splitting-4", "tree-9"])
+def test_each_leaf_is_tested_by_racn_upper(monkeypatch, g, examined):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return racn_upper(*args)
+
+    monkeypatch.setattr(rainbow, "racn_upper", counted)
+    cert = racn_exact(g, max_n=g.n)
+    assert len(calls) == cert.examined == examined
+
+
 def racn_from_degree_and_diameter(g):
     """``racn_exact``'s value and witness found by deepening from
     max(diameter, max degree), the start before bridges were counted."""
     cands = orbit_cands(g)
-    accept = partial(_rainbow_connected, g)
+    accept = leaf_test(g)
     for bound in range(max(diameter(g), degree_stats(g)[1]), len(g.edges) + 1):
         if _first_labeling(g, _max_cardinality_order(g), cands, bound, accept)[0]:
             return bound, index_order_witness(g, bound)

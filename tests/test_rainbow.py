@@ -586,25 +586,6 @@ def two_mask_adjacency(g, w):
             for a, nbrs in enumerate(g.adjacency)]
 
 
-def two_mask_sum_adjacency(g, labels):
-    return [[(b, s, 1 << s) for b in nbrs for s in (labels[a] + labels[b],)]
-            for a, nbrs in enumerate(g.adjacency)]
-
-
-def sum_adjacency(g, labels):
-    """The sum-indexed adjacency that ``_rainbow_connected`` hands the kernel."""
-    handed = []
-
-    def capture(adj, sources):
-        handed.append(adj)
-        return iter(())
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(rainbow, "_rainbow_paths", capture)
-        rainbow._rainbow_connected(g, labels)
-    return handed[0]
-
-
 def walk(paths, unpack):
     """Each push as ``(vertices, weights, seen, used)``, and whether the
     walk ended in a budget raise."""
@@ -649,12 +630,6 @@ class TestPackedKernelMatchesTwoMasks:
         g, _, w = family_coloring(family, p)
         assert_packed_walk_matches(rainbow._adjacency(g, w), two_mask_adjacency(g, w))
 
-    @pytest.mark.parametrize("family,p", PACKED_CELLS)
-    def test_sum_indexed_walks(self, family, p):
-        g, lab, _ = family_coloring(family, p)
-        assert_packed_walk_matches(sum_adjacency(g, lab.values),
-                                   two_mask_sum_adjacency(g, lab.values))
-
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_random_labeled_graphs(self, data):
@@ -670,4 +645,3 @@ class TestPackedKernelMatchesTwoMasks:
         labels = tuple(data.draw(st.permutations(range(1, n + 1))))
         w = edge_weights(g, Labeling(labels))
         assert_packed_walk_matches(rainbow._adjacency(g, w), two_mask_adjacency(g, w))
-        assert_packed_walk_matches(sum_adjacency(g, labels), two_mask_sum_adjacency(g, labels))
