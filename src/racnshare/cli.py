@@ -15,7 +15,7 @@ import sys
 from . import formulas, protocol, serialize
 from .errors import BudgetExceededError, InvalidParameterError, RacnShareError
 from .graphs import FAMILIES, build_graph, degree_stats, diameter
-from .labelings import edge_weights, family_coloring, family_labeling
+from .labelings import family_coloring, family_labeling
 from .rainbow import DEFAULT_MAX_N, is_rainbow_connected, racn_exact, racn_upper
 from .sharing import SecretConfig, Share, reconstruct, split
 
@@ -127,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--informed", required=True, help="comma-separated vertex names")
     s.add_argument("--cycle-policy", choices=("chordless", "all"), default="chordless")
     s.add_argument("--max-len", type=int)
-
-    s = sub.add_parser("export-dot", help="Graphviz output with class colors")
-    _add_instance_args(s)
-    s.add_argument("--plain", action="store_true", help="omit weights and colors")
 
     return parser
 
@@ -295,13 +291,6 @@ def _cmd_simulate_dissemination(args) -> int:
     return 0
 
 
-def _cmd_export_dot(args) -> int:
-    g = build_graph(args.family, args.p)
-    w = None if args.plain else edge_weights(g, family_labeling(args.family, args.p))
-    print(serialize.export_dot(g, w), end="")
-    return 0
-
-
 _COMMANDS = {
     "build": _cmd_build,
     "label": _cmd_label,
@@ -314,7 +303,6 @@ _COMMANDS = {
     "reconstruct": _cmd_reconstruct,
     "simulate-reconstruction": _cmd_simulate_reconstruction,
     "simulate-dissemination": _cmd_simulate_dissemination,
-    "export-dot": _cmd_export_dot,
 }
 
 

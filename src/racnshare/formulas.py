@@ -180,8 +180,12 @@ def validate_family(
     rainbow-path search: a path with k edges holds all k classes on k + 1
     vertices, so when ``max_new_color_path`` meets one, rp is 1 and m is
     k + 1; otherwise the exhaustive cover search settles both. The exact
-    color minimum comes from the bounded brute-force solver.
+    color minimum comes from the bounded brute-force solver, on graphs of at
+    most ``racn_max_n`` vertices; a cap below 0 raises
+    ``InvalidParameterError`` before any search.
     """
+    if racn_max_n < 0:
+        raise InvalidParameterError(f"racn_max_n must be at least 0, got {racn_max_n}")
     rows = []
     for p in p_range:
         formula = scheme_parameters(family, p)

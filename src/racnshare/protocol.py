@@ -312,9 +312,12 @@ def _reaches(nbrs: list[int], u: int, free: int, targets: int) -> bool:
     return False
 
 
-def _require_max_len(max_len: int | None) -> None:
+def _require_cycle_args(g: Graph, vertices: frozenset[int] | set[int], max_len: int | None) -> None:
     if max_len is not None and max_len < 3:
         raise InvalidParameterError(f"max_len must be at least 3, got {max_len}")
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise InvalidParameterError(f"vertex {v} out of range")
 
 
 def enumerate_cycles(
@@ -328,11 +331,11 @@ def enumerate_cycles(
     orientation whose second vertex is smaller than its last; results are
     sorted by (length, vertex sequence). An empty anchor yields [].
     ``max_len``, if given, caps the cycle length in vertices and must be at
-    least 3; a smaller one raises ``InvalidParameterError``. The
-    ``rainbow.NODE_BUDGET`` budget counts every push of the cycle search over
-    the whole graph, anchored or not.
+    least 3; a smaller one, or an anchor vertex outside ``0..g.n-1``, raises
+    ``InvalidParameterError``. The ``rainbow.NODE_BUDGET`` budget counts
+    every push of the cycle search over the whole graph, anchored or not.
     """
-    _require_max_len(max_len)
+    _require_cycle_args(g, anchor, max_len)
     if not anchor:
         return []
     anchor = frozenset(anchor)
@@ -384,10 +387,7 @@ def simulate_dissemination(
     """
     if not informed0:
         raise InvalidParameterError("the informed start set must be nonempty")
-    _require_max_len(max_len)
-    for v in informed0:
-        if not 0 <= v < g.n:
-            raise InvalidParameterError(f"vertex {v} out of range")
+    _require_cycle_args(g, informed0, max_len)
     if cycle_policy not in ("chordless", "all"):
         raise InvalidParameterError(
             f"cycle_policy must be 'chordless' or 'all', got {cycle_policy!r}"

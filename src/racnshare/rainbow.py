@@ -456,8 +456,11 @@ def racn_exact(g: Graph, max_n: int = DEFAULT_MAX_N) -> RacnCertificate:
     find is the witness. Label 1 goes only on one representative per
     automorphism orbit: some solution survives that in any order, so the
     search stays exact, and the witness is the lexicographically first of
-    minimum value. ``racn_upper`` tests each complete labeling.
+    minimum value. ``racn_upper`` tests each complete labeling. A
+    ``max_n`` below 0 raises ``InvalidParameterError``.
     """
+    if max_n < 0:
+        raise InvalidParameterError(f"max_n must be at least 0, got {max_n}")
     if g.n > max_n:
         raise BudgetExceededError(
             f"n={g.n} exceeds max_n={max_n}; use racn_upper with a known labeling"

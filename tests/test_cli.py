@@ -78,6 +78,15 @@ class TestVerifyAndRacn:
         assert code == 3
         assert "error:" in err
 
+    def test_racn_exact_negative_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "racn", "--exact", "--family", "path", "--p", "3",
+                             "--max-n", "-1")
+        assert (code, out, err) == (2, "", "error: max_n must be at least 0, got -1\n")
+
+    def test_racn_upper_ignores_the_cap(self, capsys):
+        d = run_json(capsys, "racn", "--family", "shadow", "--p", "4", "--max-n", "-1")
+        assert d["upper_bound"] == 5
+
     def test_racn_exact_raised_cap(self, capsys):
         d = run_json(capsys, "racn", "--family", "mycielski", "--p", "4", "--exact", "--max-n", "9")
         assert d["value"] == 5
@@ -399,6 +408,17 @@ class TestSimulations:
         assert (code, err) == (0, "")
         assert out.splitlines()[4].endswith("-  exact racn skipped: budget exceeded")
 
+    def test_validate_negative_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "validate", "--family", "shadow", "--p-range", "2..2",
+                             "--max-n", "-1")
+        assert (code, out, err) == (2, "", "error: racn_max_n must be at least 0, got -1\n")
+
+    def test_validate_zero_cap_skips_exact_racn(self, capsys):
+        code, out, err = run(capsys, "validate", "--family", "shadow", "--p-range", "2..2",
+                             "--max-n", "0")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[3].endswith("-  exact racn skipped: n=4 > 0")
+
     def test_dissemination_p_0_names_p(self, capsys):
         code, out, err = run(capsys, "simulate-dissemination", "--family", "shadow",
                              "--p", "0", "--informed", "x1")
@@ -481,16 +501,22 @@ class TestSimulations:
 
 
 class TestDotAndUsage:
-    def test_export_dot_colored(self, capsys):
-        code, out, _ = run(capsys, "export-dot", "--family", "shadow", "--p", "2")
+    def test_weights_dot_colored(self, capsys):
+        code, out, _ = run(capsys, "weights", "--family", "shadow", "--p", "2", "--format", "dot")
         assert code == 0
         assert out.startswith("graph G {")
         assert out.count("color=") == 4  # every edge colored
 
-    def test_export_dot_plain(self, capsys):
-        code, out, _ = run(capsys, "export-dot", "--family", "shadow", "--p", "2", "--plain")
+    def test_build_dot_plain(self, capsys):
+        code, out, _ = run(capsys, "build", "--family", "shadow", "--p", "2", "--format", "dot")
         assert code == 0
         assert "color=" not in out
+
+    def test_export_dot_is_not_a_command(self):
+        # Graphviz output is `build --format dot` or `weights --format dot`
+        with pytest.raises(SystemExit) as exc:
+            main(["export-dot", "--family", "shadow", "--p", "2"])
+        assert exc.value.code == 2
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:

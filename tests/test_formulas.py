@@ -12,6 +12,7 @@ from racnshare import (
     theorem_lower_bound,
     validate_family,
 )
+from racnshare import formulas
 from racnshare.protocol import _min_vertex_cover_choice
 from racnshare.rainbow import _rainbow_path_signatures
 
@@ -222,6 +223,14 @@ class TestValidateFamily:
         (row,) = report.rows
         assert row.racn_exact is None
         assert any("racn skipped" in g for g in row.gaps)
+
+    def test_negative_racn_cap_rejected_before_any_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched with a negative cap")
+
+        monkeypatch.setattr(formulas, "max_new_color_path", no_search)
+        with pytest.raises(InvalidParameterError, match="racn_max_n must be at least 0, got -1"):
+            validate_family("shadow", range(2, 3), racn_max_n=-1)
 
     def test_cover_budget_gap(self, set_node_budget):
         # shadow p=6 meets its first path through every class at push 26

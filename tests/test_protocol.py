@@ -274,6 +274,14 @@ class TestCycles:
     def test_empty_anchor_short_circuits(self):
         assert enumerate_cycles(fixture_graph(), frozenset()) == []
 
+    @pytest.mark.parametrize("v", [-1, 99])
+    def test_out_of_range_anchor_rejected(self, v):
+        g = fixture_graph()
+        with pytest.raises(InvalidParameterError, match=f"vertex {v} out of range"):
+            enumerate_cycles(g, {v})
+        with pytest.raises(InvalidParameterError, match=f"vertex {v} out of range"):
+            simulate_dissemination(g, {v})
+
     def test_cycle_budget(self, set_node_budget):
         g = fixture_graph()
         set_node_budget(2)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from racnshare import (
     BudgetExceededError,
+    InvalidParameterError,
     Labeling,
     build_graph,
     custom_graph,
@@ -387,6 +388,12 @@ def test_too_large_raises():
         racn_exact(build_graph("shadow", 5))
     with pytest.raises(BudgetExceededError):
         racn_exact(build_graph("shadow", 2), max_n=3)
+
+
+def test_negative_cap_is_invalid():
+    # a cap below 0 is bad input (exit 2), not a cap that n=3 exceeds (exit 3)
+    with pytest.raises(InvalidParameterError, match="max_n must be at least 0, got -1"):
+        racn_exact(build_graph("path", 3), max_n=-1)
 
 
 def test_leaf_search_is_budgeted(set_node_budget):
