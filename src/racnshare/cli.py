@@ -2,7 +2,9 @@
 
 Exit codes: 0 success; 1 a verification/validation failure under --strict;
 2 invalid input; 3 a search budget or instance-size cap was exceeded;
-4 an internal error (any other exception, which is a bug).
+4 an internal error (any other exception, which is a bug). Each ``_cmd_*``
+returns 0 or 1 and raises on bad input; ``main`` is the one place that turns
+errors into exit codes 2, 3 and 4, each printed as one ``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -217,9 +219,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    if not args.secret and not args.secret_hex:
-        print("split: provide --secret or --secret-hex", file=sys.stderr)
-        return 2
+    if args.secret is None and args.secret_hex is None:
+        raise InvalidParameterError("provide --secret or --secret-hex")
     secret = _secret_bytes(args)
     cfg = SecretConfig(threshold=args.k, share_count=args.shares, seed=args.seed)
     shares = split(secret, cfg)
@@ -238,9 +239,7 @@ def _cmd_reconstruct(args) -> int:
     for text in args.share:
         idx, sep, hexpart = text.partition(":")
         if not (sep and idx.isascii() and idx.isdigit()):
-            print(f"reconstruct: bad --share {text!r}, expected INDEX:HEX",
-                  file=sys.stderr)
-            return 2
+            raise InvalidParameterError(f"bad --share {text!r}, expected INDEX:HEX")
         shares.append(Share(index=int(idx), payload=bytes.fromhex(hexpart)))
     secret = reconstruct(shares, args.k)
     try:
@@ -267,23 +266,18 @@ def _cmd_simulate_reconstruction(args) -> int:
 
 def _cmd_simulate_dissemination(args) -> int:
     if args.fixture and (args.family or args.p is not None):
-        print("simulate-dissemination: give --fixture or --family/--p, not both",
-              file=sys.stderr)
-        return 2
+        raise InvalidParameterError("give --fixture or --family/--p, not both")
     if args.fixture:
         g = serialize.load_graph(args.fixture)
     elif args.family and args.p is not None:
         g = build_graph(args.family, args.p)
     else:
-        print("simulate-dissemination: provide --fixture or --family/--p",
-              file=sys.stderr)
-        return 2
+        raise InvalidParameterError("provide --fixture or --family/--p")
     informed = frozenset(
         g.index_of(name.strip()) for name in args.informed.split(",") if name.strip()
     )
     if not informed:
-        print("simulate-dissemination: --informed names no vertex", file=sys.stderr)
-        return 2
+        raise InvalidParameterError("--informed names no vertex")
     trace = protocol.simulate_dissemination(
         g, informed, cycle_policy=args.cycle_policy, max_len=args.max_len
     )

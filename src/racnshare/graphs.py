@@ -70,6 +70,10 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def _connected(self) -> bool:
+        return len(bfs_parents(self, (0,))) == self.n
+
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edge_set
 
@@ -80,7 +84,8 @@ class Graph:
             raise InvalidParameterError(f"no vertex named {name!r}") from None
 
     def is_connected(self) -> bool:
-        return len(bfs_parents(self, (0,))) == self.n
+        """Whether every vertex is reachable from vertex 0; one BFS per graph."""
+        return self._connected
 
 
 def bfs_parents(g: Graph, sources) -> dict[int, int | None]:

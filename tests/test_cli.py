@@ -226,6 +226,11 @@ class TestShares:
         assert exc.value.code == 2
         assert "--secret-hex: not allowed with argument --secret" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--secret", "--secret-hex"])
+    def test_split_empty_secret_gets_the_library_check(self, capsys, flag):
+        code, out, err = run(capsys, "split", flag, "", "--k", "1", "--shares", "1")
+        assert (code, out, err) == (2, "", "error: secret must be a nonempty byte string\n")
+
     def test_empty_secret_hex_is_not_the_fallback(self, capsys):
         code, out, err = run(capsys, "simulate-reconstruction", "--family", "shadow",
                              "--p", "3", "--secret-hex", "")
@@ -237,7 +242,7 @@ class TestShares:
         # INDEX is ASCII decimal digits only, not whatever int() accepts
         code, out, err = run(capsys, "reconstruct", "--share", share, "--k", "1")
         assert (code, out, err) == (
-            2, "", f"reconstruct: bad --share {share!r}, expected INDEX:HEX\n")
+            2, "", f"error: bad --share {share!r}, expected INDEX:HEX\n")
 
     def test_bad_hex_exits_2(self, capsys):
         code, _, err = run(
@@ -359,7 +364,7 @@ class TestSimulations:
         code, out, err = run(capsys, "simulate-dissemination", "--fixture", "fig1", *graph,
                              "--informed", "5")
         assert (code, out, err) == (
-            2, "", "simulate-dissemination: give --fixture or --family/--p, not both\n")
+            2, "", "error: give --fixture or --family/--p, not both\n")
 
     @pytest.mark.parametrize("roles,unreachable", [
         ({"0": "a", "1": "b", "2": "c", "3": "d"}, "c, d"),
@@ -478,7 +483,7 @@ class TestSimulations:
     def test_dissemination_empty_informed_names_the_flag(self, capsys, informed):
         code, out, err = run(capsys, "simulate-dissemination", "--fixture", "fig1",
                              "--informed", informed)
-        assert (code, out, err) == (2, "", "simulate-dissemination: --informed names no vertex\n")
+        assert (code, out, err) == (2, "", "error: --informed names no vertex\n")
 
     @pytest.mark.parametrize("max_len", ["2", "0", "-3"])
     def test_dissemination_max_len_below_3_exits_2(self, capsys, max_len):

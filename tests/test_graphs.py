@@ -12,8 +12,9 @@ from racnshare import (
     custom_graph,
     degree_stats,
     diameter,
+    graphs,
 )
-from racnshare.graphs import bridge_count
+from racnshare.graphs import bfs_parents, bridge_count
 
 
 def to_nx(g):
@@ -179,6 +180,20 @@ def test_diameter_matches_networkx():
         for p in range(2, 8):
             g = build_graph(family, p)
             assert diameter(g) == nx.diameter(to_nx(g))
+
+
+def test_connectivity_is_one_bfs_per_graph(monkeypatch):
+    calls = []
+
+    def counted(g, sources):
+        calls.append(g)
+        return bfs_parents(g, sources)
+
+    monkeypatch.setattr(graphs, "bfs_parents", counted)
+    g, h = build_graph("shadow", 4), custom_graph(4, [(0, 1), (2, 3)])
+    assert [g.is_connected(), h.is_connected(), g.is_connected(), h.is_connected()] == [
+        True, False, True, False]
+    assert calls == [g, h]
 
 
 def test_diameter_requires_connected():

@@ -28,12 +28,13 @@ from racnshare import (
     diameter,
     edge_weights,
     family_coloring,
+    graphs,
     is_rainbow_connected,
     racn_exact,
     racn_upper,
     rainbow,
 )
-from racnshare.graphs import bridge_count
+from racnshare.graphs import bfs_parents, bridge_count
 from racnshare.rainbow import (
     _first_labeling,
     _max_cardinality_order,
@@ -446,6 +447,22 @@ def test_each_leaf_is_tested_by_racn_upper(monkeypatch, g, examined):
     monkeypatch.setattr(rainbow, "racn_upper", counted)
     cert = racn_exact(g, max_n=g.n)
     assert len(calls) == cert.examined == examined
+
+
+@pytest.mark.parametrize("family", ["shadow", "splitting", "mycielski"])
+def test_connectivity_is_one_bfs_however_many_leaves(monkeypatch, family):
+    # diameter runs one BFS from each vertex; racn_exact, diameter and every
+    # leaf's racn_upper read the graph's connectivity, which is one BFS more
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bfs_parents(*args)
+
+    monkeypatch.setattr(graphs, "bfs_parents", counted)
+    g = build_graph(family, 4)  # built here, so no earlier test warmed its cache
+    racn_exact(g, max_n=g.n)
+    assert len(calls) == g.n + 1
 
 
 def racn_from_degree_and_diameter(g):

@@ -1,4 +1,5 @@
-"""Checks on the package source itself: imports and function signatures."""
+"""Checks on the package source itself: imports, function signatures and
+where the CLI prints errors."""
 
 import ast
 import importlib
@@ -89,4 +90,22 @@ def test_only_rainbow_knows_the_packed_path_state():
              for path in Path(racnshare.__file__).parent.glob("*.py") if path.name != "rainbow.py"
              for name in sorted(code_names(ast.parse(path.read_text(encoding="utf-8")))
                                 & {"_rainbow_paths", "_adjacency"})]
+    assert found == []
+
+
+def test_only_cli_main_turns_errors_into_exit_codes():
+    # a command raises on bad input; main alone prints "error: ..." and picks
+    # the exit code, so exit 2 has one route and one message style
+    cli = Path(racnshare.__file__).parent / "cli.py"
+    found = []
+    for fn in ast.walk(ast.parse(cli.read_text(encoding="utf-8"))):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                    and node.value.value == 2):
+                found.append(f"{fn.name} returns 2 (line {node.lineno})")
+            elif (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                  and getattr(node.value, "id", None) == "sys"):
+                found.append(f"{fn.name} names sys.stderr (line {node.lineno})")
     assert found == []
